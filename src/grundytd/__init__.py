@@ -69,7 +69,6 @@ from .smallgraphs import (
     are_isomorphic,
     connected_cubic_graphs,
     connected_graphs,
-    connected_graphs_upto,
     graph_canonical_form,
     random_connected_graph,
     random_hypergraph,

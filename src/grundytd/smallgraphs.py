@@ -5,10 +5,19 @@ cubic graph up to order 12, one representative per isomorphism class.
 Isomorph rejection uses a canonical form computed by color refinement plus
 individualization: refine the coloring to a fixed point, split the first
 non-singleton color class on each of its vertices in turn, and take the
-minimum adjacency bitstring over the discrete leaves.  No pruning is done;
-at these orders the search trees stay tiny except for the most symmetric
-graphs, which are rare.  The enumeration counts are pinned to published
-values in the tests, which is what certifies all of this machinery.
+minimum adjacency bitstring over the discrete leaves.
+
+The search is pruned by automorphisms (the orbit pruning of McKay and
+Piperno, "Practical graph isomorphism, II", 2014).  Two leaves with the
+same bitstring give an automorphism: the map from the first leaf's vertex
+order to the second's.  Before branching on a vertex, the search skips it
+when an automorphism found so far that fixes the individualized prefix
+pointwise maps an already searched sibling onto it.  Refinement, the cell
+choice and the leaf encoding all commute with automorphisms, so the
+skipped subtree is an image of a searched one with the same bitstrings and
+the minimum, hence the certificate, is exactly that of the full search
+(tests/oracles.py keeps the full search as the reference).  The
+enumeration counts are pinned to published values in the tests.
 """
 
 from __future__ import annotations
@@ -21,12 +30,10 @@ from .graph import Graph, bits
 # -- canonical form ----------------------------------------------------------
 
 
-def _refine(adj, n: int, colors: list[int]) -> list[int]:
+def _refine(nbrs: list[list[int]], n: int, colors: list[int]) -> list[int]:
     while True:
-        sigs = []
-        for v in range(n):
-            around = sorted(colors[u] for u in bits(adj[v]))
-            sigs.append((colors[v], tuple(around)))
+        color = colors.__getitem__
+        sigs = [(colors[v], tuple(sorted(map(color, nbrs[v])))) for v in range(n)]
         remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [remap[s] for s in sigs]
         if new == colors:
@@ -34,11 +41,21 @@ def _refine(adj, n: int, colors: list[int]) -> list[int]:
         colors = new
 
 
+def _root(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def canonical_form(adj, n: int) -> bytes:
     """Isomorphism-invariant certificate of a graph given as bitmask rows."""
     if n == 1:
         return (1).to_bytes(2, "big")
+    nbrs = [list(bits(adj[v])) for v in range(n)]
     best: int | None = None
+    leaves: dict[int, list[int]] = {}  # adjacency integer -> first order giving it
+    autos: list[list[int]] = []  # automorphisms found from equal leaves
 
     def leaf(colors: list[int]):
         nonlocal best
@@ -48,11 +65,19 @@ def canonical_form(adj, n: int) -> bytes:
             row = adj[order[j]]
             for i in range(j):
                 acc = (acc << 1) | ((row >> order[i]) & 1)
-        if best is None or acc < best:
-            best = acc
+        prev = leaves.get(acc)
+        if prev is None:
+            leaves[acc] = order
+            if best is None or acc < best:
+                best = acc
+        else:
+            perm = [0] * n
+            for k in range(n):
+                perm[prev[k]] = order[k]
+            autos.append(perm)
 
-    def search(colors: list[int]):
-        colors = _refine(adj, n, colors)
+    def search(colors: list[int], prefix: list[int]):
+        colors = _refine(nbrs, n, colors)
         cell = None
         by_color: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
@@ -64,12 +89,33 @@ def canonical_form(adj, n: int) -> bytes:
         if cell is None:
             leaf(colors)
             return
+        # Orbits of the automorphisms found so far that fix the prefix
+        # pointwise, kept as a union-find; such an automorphism maps the
+        # subtree of v onto the subtree of its image with equal leaf integers,
+        # so only one vertex per orbit needs searching.
+        orbit = list(range(n))
+        used = 0
+        explored: list[int] = []
         for v in cell:
+            for perm in autos[used:]:
+                if all(perm[p] == p for p in prefix):
+                    for x in range(n):
+                        a, b = _root(orbit, x), _root(orbit, perm[x])
+                        if a != b:
+                            orbit[a] = b
+            used = len(autos)
+            if used:
+                root = _root(orbit, v)
+                if any(_root(orbit, u) == root for u in explored):
+                    continue
+            explored.append(v)
             branched = list(colors)
             branched[v] = -1  # unique new color; refinement renumbers
-            search(branched)
+            prefix.append(v)
+            search(branched, prefix)
+            prefix.pop()
 
-    search([0] * n)
+    search([0] * n, [])
     nbytes = max(1, (n * (n - 1) // 2 + 7) // 8)
     return n.to_bytes(2, "big") + best.to_bytes(nbytes, "big")
 
@@ -120,11 +166,6 @@ def connected_graphs(n: int) -> list[Graph]:
         result.sort(key=lambda g: (g.edge_count(), g.adj))
     _connected_cache[n] = result
     return result
-
-
-def connected_graphs_upto(n: int):
-    for k in range(1, n + 1):
-        yield from connected_graphs(k)
 
 
 _cubic_cache: dict[int, list[Graph]] = {}

@@ -8,6 +8,8 @@ to sweep.
 
 from itertools import combinations
 
+from grundytd.graph import bits
+
 
 def neighborhoods(g, mode):
     """Open or closed neighborhoods as a list of sets."""
@@ -250,3 +252,61 @@ def hyper_cover_number(h):
             if set().union(*(members[i] for i in combo), set()) == full:
                 return k
     raise ValueError("edges do not cover the ground set")
+
+
+def _refine_unpruned(adj, n, colors):
+    while True:
+        sigs = []
+        for v in range(n):
+            around = sorted(colors[u] for u in bits(adj[v]))
+            sigs.append((colors[v], tuple(around)))
+        remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [remap[s] for s in sigs]
+        if new == colors:
+            return new
+        colors = new
+
+
+def canonical_form_unpruned(adj, n):
+    """Canonical form by the full individualization tree, no pruning at all.
+
+    Same refinement, cell choice and leaf encoding as
+    smallgraphs.canonical_form, but every branch is searched, so the
+    pruned search must return exactly these bytes.
+    """
+    if n == 1:
+        return (1).to_bytes(2, "big")
+    best = None
+
+    def leaf(colors):
+        nonlocal best
+        order = sorted(range(n), key=colors.__getitem__)
+        acc = 0
+        for j in range(1, n):
+            row = adj[order[j]]
+            for i in range(j):
+                acc = (acc << 1) | ((row >> order[i]) & 1)
+        if best is None or acc < best:
+            best = acc
+
+    def search(colors):
+        colors = _refine_unpruned(adj, n, colors)
+        cell = None
+        by_color = {}
+        for v, c in enumerate(colors):
+            by_color.setdefault(c, []).append(v)
+        for c in range(len(by_color)):
+            if len(by_color[c]) > 1:
+                cell = by_color[c]
+                break
+        if cell is None:
+            leaf(colors)
+            return
+        for v in cell:
+            branched = list(colors)
+            branched[v] = -1  # unique new color; refinement renumbers
+            search(branched)
+
+    search([0] * n)
+    nbytes = max(1, (n * (n - 1) // 2 + 7) // 8)
+    return n.to_bytes(2, "big") + best.to_bytes(nbytes, "big")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from grundytd import graph_from_graph6, hypergraph_from_text, path, graph_to_graph6
+from grundytd import engine, graph_from_graph6, hypergraph_from_text, path, graph_to_graph6
 from grundytd.cli import main
 
 
@@ -63,6 +63,13 @@ def test_compute_cap_exceeded_exit_code(capsys):
     code, _, err = run(capsys, "compute", "--family", "path:30", "--invariant", "grt")
     assert code == 3
     assert "cap" in err.lower()
+
+
+def test_invalid_witness_is_reported_as_violation(monkeypatch, capsys):
+    monkeypatch.setattr(engine, "min_cover", lambda masks, universe: (1, [0]))
+    code, _, err = run(capsys, "compute", "--family", "cycle:6", "--invariant", "gt")
+    assert code == 1
+    assert err.startswith("violation:")
 
 
 def test_cap_flag_lifts_limit(capsys):

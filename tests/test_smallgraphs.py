@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+import oracles
 from grundytd import (
+    Graph,
     are_isomorphic,
+    complete,
     connected_cubic_graphs,
     connected_graphs,
     cycle,
@@ -16,6 +19,7 @@ from grundytd import (
     random_tree,
     structural_report,
 )
+from grundytd.smallgraphs import canonical_form
 
 
 def test_connected_counts_small():
@@ -62,32 +66,56 @@ def test_known_graphs_appear_in_enumeration():
     assert any(are_isomorphic(g, petersen()) for g in connected_cubic_graphs(10))
 
 
+def _relabeled(g, rng):
+    """g with its vertices renumbered by a random permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    rows = [0] * g.n
+    for u in range(g.n):
+        for v in range(g.n):
+            if g.adj[u] >> v & 1:
+                rows[perm[u]] |= 1 << perm[v]
+    return Graph(g.n, tuple(rows))
+
+
 def test_canonical_form_isomorphism_invariance():
     # relabel a few graphs randomly; forms must not move
     rng = random.Random(9)
-    from grundytd import Graph
-
     for _ in range(40):
         g = random_connected_graph(rng.randint(2, 8), 0.45, rng)
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        edges = [
-            (perm[u], perm[v])
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-            if g.adj[u] >> v & 1
-        ]
-        h = Graph.from_edges(g.n, edges)
+        h = _relabeled(g, rng)
         assert graph_canonical_form(g) == graph_canonical_form(h)
         assert are_isomorphic(g, h)
+
+
+def test_canonical_form_matches_unpruned_search_on_small_graphs():
+    rng = random.Random(13)
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            for _ in range(3):
+                h = _relabeled(g, rng)
+                assert canonical_form(h.adj, n) == oracles.canonical_form_unpruned(h.adj, n)
+
+
+def test_canonical_form_matches_unpruned_search_on_symmetric_graphs():
+    rng = random.Random(14)
+    graphs = [petersen(), k_kk(4), cycle(12), k_kk(3)]
+    graphs += connected_cubic_graphs(8) + connected_cubic_graphs(10)
+    for g in graphs:
+        h = _relabeled(g, rng)
+        assert canonical_form(h.adj, g.n) == oracles.canonical_form_unpruned(h.adj, g.n)
+
+
+def test_canonical_form_of_complete_graph():
+    # the unpruned search takes seconds on K8; every leaf is all ones
+    expected = (8).to_bytes(2, "big") + ((1 << 28) - 1).to_bytes(4, "big")
+    assert canonical_form(complete(8).adj, 8) == expected
 
 
 def test_nonisomorphic_pairs_distinguished():
     assert not are_isomorphic(path(4), star(3) if False else cycle(4))
     assert not are_isomorphic(k_kk(3), cycle(6))
     # same degree sequence, different graphs
-    from grundytd import Graph
-
     g1 = cycle(6)
     g2 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert not are_isomorphic(g1, g2)

@@ -1,4 +1,10 @@
+import gc
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,11 +13,13 @@ from grundytd import (
     CapacityError,
     DomainError,
     Graph,
+    InvariantViolation,
     build_family,
     chain_violations,
     complete,
     compute_report,
     cycle,
+    engine,
     game_total_domination_number,
     grundy_domination_number,
     grundy_total_domination_number,
@@ -91,6 +99,13 @@ def test_isolated_vertex_rejected():
         total_domination_number(g)
 
 
+def test_invalid_witness_raises_invariant_violation(monkeypatch):
+    # {0} dominates only the two neighbours of vertex 0 in C6
+    monkeypatch.setattr(engine, "min_cover", lambda masks, universe: (1, [0]))
+    with pytest.raises(InvariantViolation, match="gamma_t"):
+        total_domination_number(cycle(6))
+
+
 def test_cap_blocks_oversized_input(monkeypatch):
     g = complete(30)
     with pytest.raises(CapacityError):
@@ -135,6 +150,42 @@ def test_report_values_and_json_roundtrip():
     assert parsed["n"] == 10
     assert parsed["invariants"]["gamma_grt"]["value"] == 6
     assert all(r.micros >= 0 for r in rep.results.values())
+
+
+def test_report_frees_search_tables_on_large_graphs():
+    # a finished search's memo table must not wait for the next full collection
+    gc.collect()
+    compute_report(path(16))
+    assert gc.collect() == 0
+
+
+_PEAK_AFTER_GAMES = """
+import random, sys
+from grundytd import compute_report, cycle, path, Graph
+perm = list(range(20))
+random.Random(int(sys.argv[1])).shuffle(perm)
+for g in (path(20), cycle(20)):
+    g = Graph.from_edges(20, [(perm[u], perm[v]) for u, v in g.edges()])
+    compute_report(g, keys=["gamma_tg"])
+# VmHWM, unlike ru_maxrss, does not start from the peak of the process that spawned us
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="peak memory depends on glibc")
+def test_report_peak_memory_does_not_depend_on_vertex_numbering():
+    # the second game search reuses memory the first one freed; how well it
+    # fits must not vary with the numbering.  With glibc's adaptive mmap
+    # threshold these six peaks spread over 1.2 MB, with it pinned 0.2 MB.
+    src = str(Path(compute_report.__code__.co_filename).parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
+    peaks_kb = [
+        int(subprocess.run([sys.executable, "-c", _PEAK_AFTER_GAMES, str(seed)], env=env,
+                           capture_output=True, text=True, check=True).stdout)
+        for seed in range(6)
+    ]
+    assert max(peaks_kb) - min(peaks_kb) < 512, peaks_kb
 
 
 def test_report_subset_of_keys():
