@@ -19,14 +19,28 @@ the covered set determines which moves remain, with no need to remember
 which indices were played.  Tests cross-check this against a
 memoization-free search that carries the full played-set state.
 
-The compiled module _kernels_c mirrors this file statement for statement,
-including tie-breaking (ascending index everywhere), so both engines return
-identical witnesses, not just identical values.
+The longest-sequence and game searches prune with exact cut-offs.  Every
+move covers at least one new element and at most as many as the widest mask,
+so from a state with r uncovered elements at most r and at least
+ceil(r / widest) moves remain.  The longest-sequence search stops expanding a
+state once a child reaches r, and its memo values stay exact.  The game
+search is a fail-soft alpha-beta over one table of bounds (lo, hi) per mover,
+seeded with those static bounds; its full-window root search is exact, and
+the principal line is rebuilt with null-window probes.  Both witnesses are
+still the smallest index that keeps the optimum at every step.
+
+The compiled module _kernels_c does not prune, but it breaks ties the same
+way (ascending index everywhere), so both engines return identical values
+and identical witnesses.
 
 All functions are pure; memo tables live per call, so concurrent use is safe.
+Every recursive inner function is dropped before its kernel returns, so its
+table is freed at once rather than at the next cyclic collection.
 """
 
 from __future__ import annotations
+
+from .errors import InvariantViolation
 
 
 def _bits(mask: int):
@@ -64,20 +78,29 @@ def max_cover_sequence(masks, universe):
             return 0
         val = memo.get(covered)
         if val is None:
+            uncovered = universe & ~covered
+            # every move covers at least one new element, so no state can
+            # beat this bound and the first child reaching it ends the loop
+            bound = uncovered.bit_count()
             best = 0
             for m in masks:
-                if m & ~covered:
+                if m & uncovered:
                     r = 1 + longest(covered | m)
                     if r > best:
                         best = r
+                        if best == bound:
+                            break
             memo[covered] = val = best
         return val
 
-    total = longest(0)
+    try:
+        total = longest(0)
+    finally:
+        longest = None  # the closure refers to itself; free the table now
 
     # Walk the memo table back down, taking the smallest index that still
-    # achieves the optimum at each step.  Every child of a visited state was
-    # itself visited, so the lookups always hit.
+    # achieves the optimum at each step.  The loop above stopped no earlier
+    # than that index, so every child looked up here was visited.
     seq: list[int] = []
     covered = 0
     need = total
@@ -92,7 +115,7 @@ def max_cover_sequence(masks, universe):
                     need -= 1
                     break
         else:
-            raise RuntimeError("witness reconstruction failed")
+            raise InvariantViolation("witness reconstruction failed")
     return total, seq
 
 
@@ -126,19 +149,22 @@ def sequence_of_length(masks, universe, length: int):
             memo[key] = val
         return val
 
-    if not feasible(0, length):
-        return None
-    seq: list[int] = []
-    covered = 0
-    r = length
-    while r:
-        for i, m in enumerate(masks):
-            if m & ~covered and feasible(covered | m, r - 1):
-                seq.append(i)
-                covered |= m
-                r -= 1
-                break
-    return seq
+    try:
+        if not feasible(0, length):
+            return None
+        seq: list[int] = []
+        covered = 0
+        r = length
+        while r:
+            for i, m in enumerate(masks):
+                if m & ~covered and feasible(covered | m, r - 1):
+                    seq.append(i)
+                    covered |= m
+                    r -= 1
+                    break
+        return seq
+    finally:
+        feasible = None  # the closure refers to itself; free the table now
 
 
 def game_cover_value(masks, universe):
@@ -152,46 +178,95 @@ def game_cover_value(masks, universe):
     _check_coverable(masks, universe)
     if universe == 0:
         return 0, []
+    widest = max(m.bit_count() for m in masks)
+    top = universe.bit_count() + 1  # above every value
 
-    memo_min: dict[int, int] = {}
-    memo_max: dict[int, int] = {}
+    # One table per mover: covered set -> bounds lo <= value <= hi, packed
+    # as lo << shift | hi (one int per state costs less than a tuple).
+    shift = top.bit_length()
+    low = (1 << shift) - 1
+    bounds_min: dict[int, int] = {}
+    bounds_max: dict[int, int] = {}
 
-    def value(covered: int, minimizer: bool) -> int:
-        if covered == universe:
-            return 0
-        memo = memo_min if minimizer else memo_max
-        val = memo.get(covered)
-        if val is None:
-            best = -1
-            for m in masks:
-                if m & ~covered:
-                    r = 1 + value(covered | m, not minimizer)
-                    if best < 0 or (r < best if minimizer else r > best):
-                        best = r
-            memo[covered] = val = best
-        return val
-
-    total = value(0, True)
-
-    trace: list[int] = []
-    covered = 0
-    minimizer = True
-    need = total
-    while covered != universe:
-        # The mover alternates, so the child's value sits in the other table.
-        child_memo = memo_max if minimizer else memo_min
-        for i, m in enumerate(masks):
-            if m & ~covered:
-                child = covered | m
-                child_val = 0 if child == universe else child_memo[child]
-                if 1 + child_val == need:
-                    trace.append(i)
-                    covered = child
-                    need -= 1
-                    minimizer = not minimizer
-                    break
+    def search(covered: int, minimizer: bool, alpha: int, beta: int) -> int:
+        """Fail-soft alpha-beta: a result <= alpha bounds the value from
+        above, a result >= beta from below, and one in between is exact."""
+        table = bounds_min if minimizer else bounds_max
+        uncovered = universe & ~covered
+        entry = table.get(covered)
+        if entry is None:
+            rem = uncovered.bit_count()
+            lo, hi = -(-rem // widest), rem
         else:
-            raise RuntimeError("principal line reconstruction failed")
+            lo, hi = entry >> shift, entry & low
+        if lo == hi or lo >= beta:
+            return lo
+        if hi <= alpha:
+            return hi
+        a = alpha if alpha > lo else lo
+        b = beta if beta < hi else hi
+        if minimizer:
+            best = top
+            cut = b
+            for m in masks:
+                if m & uncovered:
+                    r = 1 + search(covered | m, False, a - 1, cut - 1)
+                    if r < best:
+                        best = r
+                        if r <= a:
+                            break
+                        if r < cut:
+                            cut = r
+        else:
+            best = 0
+            cut = a
+            for m in masks:
+                if m & uncovered:
+                    r = 1 + search(covered | m, True, cut - 1, b - 1)
+                    if r > best:
+                        best = r
+                        if r >= b:
+                            break
+                        if r > cut:
+                            cut = r
+        if best <= a:
+            table[covered] = lo << shift | best
+        elif best >= b:
+            table[covered] = best << shift | hi
+        else:
+            table[covered] = best << shift | best
+        return best
+
+    try:
+        # The static bounds narrow the full window at every node, so the
+        # root search always comes back exact.
+        total = search(0, True, -1, top)
+
+        # Rebuild the principal line with null-window probes, taking the
+        # smallest index whose child keeps the value at each step (a covered
+        # universe has static bounds 0 <= value <= 0).
+        trace: list[int] = []
+        covered = 0
+        minimizer = True
+        need = total
+        while covered != universe:
+            for i, m in enumerate(masks):
+                if m & ~covered:
+                    child = covered | m
+                    if minimizer:
+                        keeps = search(child, False, need - 1, need) <= need - 1
+                    else:
+                        keeps = search(child, True, need - 2, need - 1) >= need - 1
+                    if keeps:
+                        trace.append(i)
+                        covered = child
+                        need -= 1
+                        minimizer = not minimizer
+                        break
+            else:
+                raise InvariantViolation("principal line reconstruction failed")
+    finally:
+        search = None  # the closure refers to itself; free the tables now
     return total, trace
 
 
@@ -252,7 +327,10 @@ def min_cover(masks, universe):
             dfs(covered | masks[i], chosen)
             chosen.pop()
 
-    dfs(0, [])
+    try:
+        dfs(0, [])
+    finally:
+        dfs = None  # the closure refers to itself
     return best_size, sorted(best_sel)
 
 
@@ -294,9 +372,12 @@ def max_minimal_cover(masks, universe):
                 dfs(i + 1, covered | masks[i], chosen + [i], updated + [new_private])
         dfs(i + 1, covered, chosen, privates)
 
-    dfs(0, 0, [], [])
+    try:
+        dfs(0, 0, [], [])
+    finally:
+        dfs = None  # the closure refers to itself
     if best_sel is None:
-        raise RuntimeError("no minimal cover found for coverable universe")
+        raise InvariantViolation("no minimal cover found for coverable universe")
     return best_size, sorted(best_sel)
 
 
@@ -347,5 +428,8 @@ def max_matching(adj, n: int, semistrong: bool):
             pairs.pop()
         return
 
-    dfs(0, [], 0)
+    try:
+        dfs(0, [], 0)
+    finally:
+        dfs = None  # the closure refers to itself
     return best_size, best_m

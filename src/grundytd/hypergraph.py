@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import engine
-from .errors import ParameterError, PreconditionError, SequenceError
+from .errors import InvariantViolation, ParameterError, PreconditionError, SequenceError
 from .graph import Graph, bits
 
 
@@ -156,7 +156,7 @@ def grundy_covering_number(h: Hypergraph):
     """(longest legal covering sequence length, witness edge indices)."""
     value, seq = engine.max_cover_sequence(list(h.edges), h.full_mask)
     if not is_complete_covering_sequence(h, seq) or len(seq) != value:
-        raise RuntimeError("solver produced an invalid covering certificate")
+        raise InvariantViolation("solver produced an invalid covering certificate")
     return value, tuple(seq)
 
 
@@ -165,7 +165,7 @@ def grundy_transversal_number(h: Hypergraph):
     ne = len(h.edges)
     value, seq = engine.max_cover_sequence(h.incidence_masks(), (1 << ne) - 1)
     if not is_complete_transversal_sequence(h, seq) or len(seq) != value:
-        raise RuntimeError("solver produced an invalid transversal certificate")
+        raise InvariantViolation("solver produced an invalid transversal certificate")
     return value, tuple(seq)
 
 
@@ -194,7 +194,7 @@ def transversal_to_covering(h: Hypergraph, vertex_seq) -> tuple[int, ...]:
         hit |= inc[v]
     picked.reverse()
     if not is_legal_covering_sequence(h, picked):
-        raise RuntimeError("reversal construction produced an illegal sequence")
+        raise InvariantViolation("reversal construction produced an illegal sequence")
     return tuple(picked)
 
 
@@ -214,7 +214,7 @@ def covering_to_transversal(h: Hypergraph, edge_seq) -> tuple[int, ...]:
         covered |= h.edges[i]
     picked.reverse()
     if not is_legal_transversal_sequence(h, picked):
-        raise RuntimeError("reversal construction produced an illegal sequence")
+        raise InvariantViolation("reversal construction produced an illegal sequence")
     return tuple(picked)
 
 

@@ -20,7 +20,6 @@ per call or through the GRUNDY_CAP environment variable.
 
 from __future__ import annotations
 
-import gc
 import os
 import time
 from dataclasses import dataclass
@@ -31,45 +30,6 @@ from .graph import Graph, bits
 from .sequences import check_legal, is_dominating_sequence, is_total_dominating_sequence
 
 DEFAULT_CAP = 24
-
-# From this order on, compute_report runs the cyclic garbage collector after
-# each invariant.  The pure kernels keep their memo tables in closures of
-# recursive inner functions, which form reference cycles, so a finished
-# search's table lives until the next full collection, and whether it is
-# still alive when the next search fills its own table depends on when that
-# collection happens to run.  Below this order the tables are small and a
-# collection per invariant would cost more than the searches.
-_COLLECT_FROM_ORDER = 16
-
-_M_MMAP_THRESHOLD = -3  # mallopt parameter number in glibc's malloc.h
-_malloc_pinned = False
-
-
-def _pin_malloc_threshold() -> None:
-    """Fix glibc's mmap threshold at its default of 128 KiB, once per process.
-
-    glibc raises the threshold to the size of each large block it frees.
-    Once a finished search's tables are freed, the next search's tables
-    therefore grow inside the heap, where the blocks its dict resizes leave
-    behind fragment it by an amount that depends on the order of those
-    resizes, that is on the vertex numbering: compute on the four 22-vertex
-    graphs of the benchmark peaked anywhere from 56 to 68 MB over relabelings.
-    With the threshold fixed every large table gets its own mapping and goes
-    back to the system when freed, so the peak is that of the largest search
-    alone.  Elsewhere than glibc this does nothing.
-    """
-    global _malloc_pinned
-    if _malloc_pinned:
-        return
-    _malloc_pinned = True
-    try:
-        import ctypes
-
-        mallopt = ctypes.CDLL(None).mallopt
-    except (ImportError, OSError, AttributeError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 128 * 1024)
-
 
 INVARIANT_KEYS = (
     "gamma_t",
@@ -340,15 +300,11 @@ def compute_report(g: Graph, keys=None, cap: int | None = None) -> InvariantRepo
         if unknown:
             raise ParameterError(f"unknown invariants: {unknown}")
     results: dict[str, InvariantResult] = {}
-    if g.n >= _COLLECT_FROM_ORDER:
-        _pin_malloc_threshold()
     for key in keys:
         t0 = time.perf_counter_ns()
         value, witness = _DISPATCH[key](g, cap)
         micros = (time.perf_counter_ns() - t0) // 1000
         results[key] = InvariantResult(key, value, witness, micros)
-        if g.n >= _COLLECT_FROM_ORDER:
-            gc.collect()
     return InvariantReport(g.n, g.edge_count(), results)
 
 

@@ -8,6 +8,7 @@ to sweep.
 
 from itertools import combinations
 
+from grundytd._kernels_py import _check_coverable
 from grundytd.graph import bits
 
 
@@ -110,6 +111,32 @@ def game_value(g):
 
     if any(not hoods[v] for v in range(g.n)):
         raise ValueError("isolated vertex")
+    return play(set(), False)
+
+
+def game_line(g):
+    """Value and principal line of the game by bare minimax.
+
+    The line takes, at every position, the smallest vertex whose subtree
+    achieves the mover's optimum: the line game_cover_value reports.
+    """
+    hoods = neighborhoods(g, "open")
+    full = set(range(g.n))
+    if any(not hoods[v] for v in range(g.n)):
+        raise ValueError("isolated vertex")
+
+    def play(covered, staller):
+        if covered == full:
+            return 0, ()
+        best = None
+        for v in range(g.n):
+            if hoods[v] <= covered:
+                continue
+            value, line = play(covered | hoods[v], not staller)
+            if best is None or (value > best[0] if staller else value < best[0]):
+                best = (value, (v,) + line)
+        return best[0] + 1, best[1]
+
     return play(set(), False)
 
 
@@ -310,3 +337,114 @@ def canonical_form_unpruned(adj, n):
     search([0] * n)
     nbytes = max(1, (n * (n - 1) // 2 + 7) // 8)
     return n.to_bytes(2, "big") + best.to_bytes(nbytes, "big")
+
+
+# Verbatim copies of the longest-sequence and game kernels before they were
+# pruned.  Every state is expanded and the witness is read back from the
+# complete memo table, so the pruned kernels must return exactly these values
+# and witnesses.
+
+def max_cover_sequence_unpruned(masks, universe):
+    """Longest legal cover sequence.
+
+    Returns (length, sequence of mask indices).  Requires the masks to
+    jointly cover the universe, which guarantees every maximal legal
+    sequence is complete (covers everything): whenever some element is
+    uncovered, any mask containing it is a legal move.
+    """
+    masks = [m & universe for m in masks]
+    _check_coverable(masks, universe)
+    if universe == 0:
+        return 0, []
+
+    memo: dict[int, int] = {}
+
+    def longest(covered: int) -> int:
+        if covered == universe:
+            return 0
+        val = memo.get(covered)
+        if val is None:
+            best = 0
+            for m in masks:
+                if m & ~covered:
+                    r = 1 + longest(covered | m)
+                    if r > best:
+                        best = r
+            memo[covered] = val = best
+        return val
+
+    total = longest(0)
+
+    # Walk the memo table back down, taking the smallest index that still
+    # achieves the optimum at each step.  Every child of a visited state was
+    # itself visited, so the lookups always hit.
+    seq: list[int] = []
+    covered = 0
+    need = total
+    while need:
+        for i, m in enumerate(masks):
+            if m & ~covered:
+                child = covered | m
+                child_val = 0 if child == universe else memo[child]
+                if child_val == need - 1:
+                    seq.append(i)
+                    covered = child
+                    need -= 1
+                    break
+        else:
+            raise RuntimeError("witness reconstruction failed")
+    return total, seq
+
+
+def game_cover_value_unpruned(masks, universe):
+    """Minimax length of the cover game; the minimizer moves first.
+
+    Both players extend one legal sequence; the minimizer wants it to
+    complete in as few moves as possible, the maximizer in as many.
+    Returns (value, principal line of mask indices).
+    """
+    masks = [m & universe for m in masks]
+    _check_coverable(masks, universe)
+    if universe == 0:
+        return 0, []
+
+    memo_min: dict[int, int] = {}
+    memo_max: dict[int, int] = {}
+
+    def value(covered: int, minimizer: bool) -> int:
+        if covered == universe:
+            return 0
+        memo = memo_min if minimizer else memo_max
+        val = memo.get(covered)
+        if val is None:
+            best = -1
+            for m in masks:
+                if m & ~covered:
+                    r = 1 + value(covered | m, not minimizer)
+                    if best < 0 or (r < best if minimizer else r > best):
+                        best = r
+            memo[covered] = val = best
+        return val
+
+    total = value(0, True)
+
+    trace: list[int] = []
+    covered = 0
+    minimizer = True
+    need = total
+    while covered != universe:
+        # The mover alternates, so the child's value sits in the other table.
+        child_memo = memo_max if minimizer else memo_min
+        for i, m in enumerate(masks):
+            if m & ~covered:
+                child = covered | m
+                child_val = 0 if child == universe else child_memo[child]
+                if 1 + child_val == need:
+                    trace.append(i)
+                    covered = child
+                    need -= 1
+                    minimizer = not minimizer
+                    break
+        else:
+            raise RuntimeError("principal line reconstruction failed")
+    return total, trace

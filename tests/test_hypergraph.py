@@ -5,6 +5,7 @@ import pytest
 import oracles
 from grundytd import (
     Hypergraph,
+    InvariantViolation,
     ParameterError,
     PreconditionError,
     SequenceError,
@@ -12,6 +13,7 @@ from grundytd import (
     covering_to_transversal,
     cycle,
     edge_cover_number,
+    engine,
     grundy_covering_number,
     grundy_total_domination_number,
     grundy_transversal_number,
@@ -181,3 +183,10 @@ def test_neighborhood_hypergraph_rejects_isolated():
 
     with pytest.raises((ParameterError, ValueError)):
         open_neighborhood_hypergraph(Graph.from_edges(3, [(0, 1)]))
+
+
+def test_invalid_covering_witness_raises_invariant_violation(monkeypatch):
+    # edge 2 covers both vertices, so edge 0 after it is not a legal move
+    monkeypatch.setattr(engine, "max_cover_sequence", lambda masks, universe: (2, [2, 0]))
+    with pytest.raises(InvariantViolation, match="covering certificate"):
+        grundy_covering_number(three_edge_h())

@@ -1,0 +1,65 @@
+"""Pure kernels: the pruned searches against their unpruned originals, and
+no table left behind in cyclic garbage."""
+
+import gc
+import random
+
+import pytest
+
+import oracles
+from grundytd import _kernels_py as kpy
+from grundytd import cycle
+
+
+def random_family(rng):
+    bits = rng.randint(1, 11)
+    density = rng.random()
+    masks = [
+        sum(1 << b for b in range(bits) if rng.random() < density)
+        for _ in range(rng.randint(1, 12))
+    ]
+    # duplicates and nested masks are the cases where ties between indices matter
+    if rng.random() < 0.3:
+        masks.append(rng.choice(masks))
+    if rng.random() < 0.3:
+        masks.append(rng.choice(masks) & rng.getrandbits(bits))
+    return masks, (1 << bits) - 1
+
+
+def test_pruned_kernels_match_unpruned_on_random_families():
+    rng = random.Random(20161)
+    compared = 0
+    while compared < 400:
+        masks, universe = random_family(rng)
+        try:
+            want = oracles.max_cover_sequence_unpruned(masks, universe)
+        except ValueError:
+            continue
+        assert kpy.max_cover_sequence(masks, universe) == want, masks
+        want = oracles.game_cover_value_unpruned(masks, universe)
+        assert kpy.game_cover_value(masks, universe) == want, masks
+        compared += 1
+
+
+_C16 = cycle(16)
+_KERNEL_CALLS = {
+    "max_cover_sequence": lambda: kpy.max_cover_sequence(_C16.open_masks(), _C16.full_mask),
+    "game_cover_value": lambda: kpy.game_cover_value(_C16.open_masks(), _C16.full_mask),
+    "sequence_of_length": lambda: kpy.sequence_of_length(_C16.open_masks(), _C16.full_mask, 12),
+    "min_cover": lambda: kpy.min_cover(_C16.open_masks(), _C16.full_mask),
+    "max_minimal_cover": lambda: kpy.max_minimal_cover(_C16.open_masks(), _C16.full_mask),
+    "max_matching": lambda: kpy.max_matching(_C16.open_masks(), 16, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_CALLS))
+def test_kernel_leaves_no_cyclic_garbage(name):
+    # a finished search's table must go when the call returns, not at the
+    # next full collection
+    gc.collect()
+    gc.disable()
+    try:
+        _KERNEL_CALLS[name]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -159,12 +159,13 @@ def test_report_frees_search_tables_on_large_graphs():
     assert gc.collect() == 0
 
 
-_PEAK_AFTER_GAMES = """
+_PEAK_OF_GAMES = """
 import random, sys
 from grundytd import compute_report, cycle, path, Graph
 perm = list(range(20))
 random.Random(int(sys.argv[1])).shuffle(perm)
-for g in (path(20), cycle(20)):
+for family in sys.argv[2:]:
+    g = {"path": path, "cycle": cycle}[family](20)
     g = Graph.from_edges(20, [(perm[u], perm[v]) for u, v in g.edges()])
     compute_report(g, keys=["gamma_tg"])
 # VmHWM, unlike ru_maxrss, does not start from the peak of the process that spawned us
@@ -174,18 +175,22 @@ print(next(line.split()[1] for line in open("/proc/self/status") if line.startsw
 
 @pytest.mark.slow
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="peak memory depends on glibc")
-def test_report_peak_memory_does_not_depend_on_vertex_numbering():
-    # the second game search reuses memory the first one freed; how well it
-    # fits must not vary with the numbering.  With glibc's adaptive mmap
-    # threshold these six peaks spread over 1.2 MB, with it pinned 0.2 MB.
+def test_report_reuses_memory_of_a_finished_search():
+    # a search that follows a freed one must fit in the memory it left: the
+    # peak of both in one process stays within 512 KB of the larger alone
     src = str(Path(compute_report.__code__.co_filename).parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
-    peaks_kb = [
-        int(subprocess.run([sys.executable, "-c", _PEAK_AFTER_GAMES, str(seed)], env=env,
-                           capture_output=True, text=True, check=True).stdout)
-        for seed in range(6)
-    ]
-    assert max(peaks_kb) - min(peaks_kb) < 512, peaks_kb
+
+    def peak_kb(seed, *families):
+        argv = [sys.executable, "-c", _PEAK_OF_GAMES, str(seed), *families]
+        return int(subprocess.run(argv, env=env, capture_output=True, text=True,
+                                  check=True).stdout)
+
+    excess_kb = {}
+    for seed in range(6):
+        alone = max(peak_kb(seed, "path"), peak_kb(seed, "cycle"))
+        excess_kb[seed] = peak_kb(seed, "path", "cycle") - alone
+    assert max(excess_kb.values()) < 512, excess_kb
 
 
 def test_report_subset_of_keys():
@@ -220,3 +225,15 @@ def test_solver_matches_subset_sweep_oracle(connected_upto_6):
     for g in connected_upto_6:
         assert total_domination_number(g)[0] == oracles.total_domination_number(g)
         assert upper_total_domination_number(g)[0] == oracles.upper_total_domination(g)
+
+
+def test_sequence_witnesses_match_exhaustive_oracle(connected_upto_6):
+    # the lexicographically first longest sequence, found with no memo at all
+    for g in connected_upto_6:
+        assert grundy_total_domination_number(g) == oracles.longest_sequence(g, "open")
+        assert grundy_domination_number(g) == oracles.longest_sequence(g, "closed")
+
+
+def test_game_line_matches_bare_minimax(connected_upto_6):
+    for g in connected_upto_6:
+        assert game_total_domination_number(g) == oracles.game_line(g)
