@@ -79,7 +79,6 @@ from .solver import (
     INVARIANT_KEYS,
     InvariantReport,
     InvariantResult,
-    chain_violations,
     compute_report,
     game_total_domination_number,
     grundy_domination_number,

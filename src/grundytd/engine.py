@@ -1,59 +1,428 @@
-"""Search-engine selection: compiled core when available, pure Python otherwise.
+"""The search kernels over bitmask families.
 
-The compiled module handles universes of at most 63 bits (single machine
-word); anything larger is routed to the pure-Python kernels, which use
-arbitrary-precision ints.  Set GRUNDYTD_ENGINE=py to force the pure engine,
-e.g. to compare results or benchmark.
+Every exact invariant in the package reduces to one of the searches below,
+applied to a family of masks over a universe bitmask:
+
+  * longest legal cover sequence   (open/closed neighborhood sequences,
+                                    hyperedge covering, transversal sequences)
+  * exact minimum cover            (total domination number, edge cover number)
+  * maximum minimal cover          (upper total domination number)
+  * two-player cover game value    (game total domination number)
+  * legal cover sequence of an exact target length (interpolation witnesses)
+  * maximum strong / semistrong matching
+
+A "legal" sequence picks masks one at a time, each contributing at least one
+not-yet-covered universe element, until the universe is covered.  The search
+state is the covered bitmask alone.  That is sound because a mask already
+used is a subset of the covered set, so it can never be legal a second time:
+the covered set determines which moves remain, with no need to remember
+which indices were played.  Tests cross-check this against a
+memoization-free search that carries the full played-set state.
+
+The longest-sequence and game searches prune with exact cut-offs.  Every
+move covers at least one new element and at most as many as the widest mask,
+so from a state with r uncovered elements at most r and at least
+ceil(r / widest) moves remain.  The longest-sequence search stops expanding a
+state once a child reaches r, and its memo values stay exact.  The game
+search is a fail-soft alpha-beta over one table of bounds (lo, hi) per mover,
+seeded with those static bounds; its full-window root search is exact, and
+the principal line is rebuilt with null-window probes.  Both witnesses are
+still the smallest index that keeps the optimum at every step.
+
+All functions are pure; memo tables live per call, so concurrent use is safe.
+Every recursive inner function is dropped before its kernel returns, so its
+table is freed at once rather than at the next cyclic collection.
 """
 
 from __future__ import annotations
 
-import os
+from .errors import InvariantViolation
+from .graph import bits
 
-from . import _kernels_py
-
-_FORCE_PURE = os.environ.get("GRUNDYTD_ENGINE", "").lower() in ("py", "python", "pure")
-
-if _FORCE_PURE:
-    _compiled = None
-else:
-    try:
-        from . import _kernels_c as _compiled  # type: ignore[attr-defined]
-    except ImportError:
-        _compiled = None
-
-BACKEND = "compiled" if _compiled is not None else "python"
-
-_WORD_LIMIT = 1 << 63
+# Recorded with every benchmark run; there is one engine, in pure Python.
+BACKEND = "python"
 
 
-def _pick(masks, universe):
-    if _compiled is not None and universe < _WORD_LIMIT:
-        return _compiled
-    return _kernels_py
+def _check_coverable(masks, universe):
+    u = 0
+    for m in masks:
+        u |= m
+    if u & universe != universe:
+        raise ValueError("mask family does not cover the universe")
 
 
 def max_cover_sequence(masks, universe):
-    return _pick(masks, universe).max_cover_sequence(masks, universe)
+    """Longest legal cover sequence.
+
+    Returns (length, sequence of mask indices).  Requires the masks to
+    jointly cover the universe, which guarantees every maximal legal
+    sequence is complete (covers everything): whenever some element is
+    uncovered, any mask containing it is a legal move.
+    """
+    masks = [m & universe for m in masks]
+    _check_coverable(masks, universe)
+    if universe == 0:
+        return 0, []
+
+    memo: dict[int, int] = {}
+
+    def longest(covered: int) -> int:
+        if covered == universe:
+            return 0
+        val = memo.get(covered)
+        if val is None:
+            uncovered = universe & ~covered
+            # every move covers at least one new element, so no state can
+            # beat this bound and the first child reaching it ends the loop
+            bound = uncovered.bit_count()
+            best = 0
+            for m in masks:
+                if m & uncovered:
+                    r = 1 + longest(covered | m)
+                    if r > best:
+                        best = r
+                        if best == bound:
+                            break
+            memo[covered] = val = best
+        return val
+
+    try:
+        total = longest(0)
+    finally:
+        longest = None  # the closure refers to itself; free the table now
+
+    # Walk the memo table back down, taking the smallest index that still
+    # achieves the optimum at each step.  The loop above stopped no earlier
+    # than that index, so every child looked up here was visited.
+    seq: list[int] = []
+    covered = 0
+    need = total
+    while need:
+        for i, m in enumerate(masks):
+            if m & ~covered:
+                child = covered | m
+                child_val = 0 if child == universe else memo[child]
+                if child_val == need - 1:
+                    seq.append(i)
+                    covered = child
+                    need -= 1
+                    break
+        else:
+            raise InvariantViolation("witness reconstruction failed")
+    return total, seq
 
 
-def sequence_of_length(masks, universe, length):
-    return _pick(masks, universe).sequence_of_length(masks, universe, length)
+def sequence_of_length(masks, universe, length: int):
+    """A legal complete cover sequence of exactly the given length, or None."""
+    masks = [m & universe for m in masks]
+    _check_coverable(masks, universe)
+    if length < 0:
+        return None
+    if universe == 0:
+        return [] if length == 0 else None
+
+    memo: dict[tuple[int, int], bool] = {}
+
+    def feasible(covered: int, r: int) -> bool:
+        if covered == universe:
+            return r == 0
+        if r <= 0:
+            return False
+        remaining = (universe & ~covered).bit_count()
+        if r > remaining:
+            return False  # each step covers at least one new element
+        key = (covered, r)
+        val = memo.get(key)
+        if val is None:
+            val = False
+            for m in masks:
+                if m & ~covered and feasible(covered | m, r - 1):
+                    val = True
+                    break
+            memo[key] = val
+        return val
+
+    try:
+        if not feasible(0, length):
+            return None
+        seq: list[int] = []
+        covered = 0
+        r = length
+        while r:
+            for i, m in enumerate(masks):
+                if m & ~covered and feasible(covered | m, r - 1):
+                    seq.append(i)
+                    covered |= m
+                    r -= 1
+                    break
+        return seq
+    finally:
+        feasible = None  # the closure refers to itself; free the table now
 
 
 def game_cover_value(masks, universe):
-    return _pick(masks, universe).game_cover_value(masks, universe)
+    """Minimax length of the cover game; the minimizer moves first.
+
+    Both players extend one legal sequence; the minimizer wants it to
+    complete in as few moves as possible, the maximizer in as many.
+    Returns (value, principal line of mask indices).
+    """
+    masks = [m & universe for m in masks]
+    _check_coverable(masks, universe)
+    if universe == 0:
+        return 0, []
+    widest = max(m.bit_count() for m in masks)
+    top = universe.bit_count() + 1  # above every value
+
+    # One table per mover: covered set -> bounds lo <= value <= hi, packed
+    # as lo << shift | hi (one int per state costs less than a tuple).
+    shift = top.bit_length()
+    low = (1 << shift) - 1
+    bounds_min: dict[int, int] = {}
+    bounds_max: dict[int, int] = {}
+
+    def search(covered: int, minimizer: bool, alpha: int, beta: int) -> int:
+        """Fail-soft alpha-beta: a result <= alpha bounds the value from
+        above, a result >= beta from below, and one in between is exact."""
+        table = bounds_min if minimizer else bounds_max
+        uncovered = universe & ~covered
+        entry = table.get(covered)
+        if entry is None:
+            rem = uncovered.bit_count()
+            lo, hi = -(-rem // widest), rem
+        else:
+            lo, hi = entry >> shift, entry & low
+        if lo == hi or lo >= beta:
+            return lo
+        if hi <= alpha:
+            return hi
+        a = alpha if alpha > lo else lo
+        b = beta if beta < hi else hi
+        if minimizer:
+            best = top
+            cut = b
+            for m in masks:
+                if m & uncovered:
+                    r = 1 + search(covered | m, False, a - 1, cut - 1)
+                    if r < best:
+                        best = r
+                        if r <= a:
+                            break
+                        if r < cut:
+                            cut = r
+        else:
+            best = 0
+            cut = a
+            for m in masks:
+                if m & uncovered:
+                    r = 1 + search(covered | m, True, cut - 1, b - 1)
+                    if r > best:
+                        best = r
+                        if r >= b:
+                            break
+                        if r > cut:
+                            cut = r
+        if best <= a:
+            table[covered] = lo << shift | best
+        elif best >= b:
+            table[covered] = best << shift | hi
+        else:
+            table[covered] = best << shift | best
+        return best
+
+    try:
+        # The static bounds narrow the full window at every node, so the
+        # root search always comes back exact.
+        total = search(0, True, -1, top)
+
+        # Rebuild the principal line with null-window probes, taking the
+        # smallest index whose child keeps the value at each step (a covered
+        # universe has static bounds 0 <= value <= 0).
+        trace: list[int] = []
+        covered = 0
+        minimizer = True
+        need = total
+        while covered != universe:
+            for i, m in enumerate(masks):
+                if m & ~covered:
+                    child = covered | m
+                    if minimizer:
+                        keeps = search(child, False, need - 1, need) <= need - 1
+                    else:
+                        keeps = search(child, True, need - 2, need - 1) >= need - 1
+                    if keeps:
+                        trace.append(i)
+                        covered = child
+                        need -= 1
+                        minimizer = not minimizer
+                        break
+            else:
+                raise InvariantViolation("principal line reconstruction failed")
+    finally:
+        search = None  # the closure refers to itself; free the tables now
+    return total, trace
 
 
 def min_cover(masks, universe):
-    return _pick(masks, universe).min_cover(masks, universe)
+    """Exact minimum number of masks covering the universe.
+
+    Branch and bound on the uncovered element with the fewest candidate
+    masks.  Returns (size, sorted mask indices).
+    """
+    masks = [m & universe for m in masks]
+    _check_coverable(masks, universe)
+    if universe == 0:
+        return 0, []
+    m_count = len(masks)
+
+    cover_of: dict[int, list[int]] = {}
+    for e in bits(universe):
+        cover_of[e] = [i for i in range(m_count) if (masks[i] >> e) & 1]
+    max_mask = max(m.bit_count() for m in masks)
+
+    # Greedy warm start tightens the bound before the exact search begins.
+    covered = 0
+    greedy: list[int] = []
+    while covered != universe:
+        pick = -1
+        gain = 0
+        for i in range(m_count):
+            g = (masks[i] & ~covered).bit_count()
+            if g > gain:
+                gain = g
+                pick = i
+        greedy.append(pick)
+        covered |= masks[pick]
+
+    best_size = len(greedy)
+    best_sel = list(greedy)
+
+    def dfs(covered: int, chosen: list[int]):
+        nonlocal best_size, best_sel
+        if covered == universe:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best_sel = list(chosen)
+            return
+        remaining = (universe & ~covered).bit_count()
+        lower = (remaining + max_mask - 1) // max_mask
+        if len(chosen) + lower >= best_size:
+            return
+        branch_e = -1
+        branch_width = m_count + 1
+        for e in bits(universe & ~covered):
+            w = len(cover_of[e])
+            if w < branch_width:
+                branch_width = w
+                branch_e = e
+        for i in cover_of[branch_e]:
+            chosen.append(i)
+            dfs(covered | masks[i], chosen)
+            chosen.pop()
+
+    try:
+        dfs(0, [])
+    finally:
+        dfs = None  # the closure refers to itself
+    return best_size, sorted(best_sel)
 
 
 def max_minimal_cover(masks, universe):
-    return _pick(masks, universe).max_minimal_cover(masks, universe)
+    """Largest minimal cover: every chosen mask keeps a private element.
+
+    Include/exclude search over indices in order.  A chosen mask's private
+    set only shrinks as more masks join, so a branch dies as soon as any
+    private set empties.  Returns (size, sorted mask indices).
+    """
+    masks = [m & universe for m in masks]
+    _check_coverable(masks, universe)
+    if universe == 0:
+        return 0, []
+    m_count = len(masks)
+
+    suffix = [0] * (m_count + 1)
+    for i in range(m_count - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
+
+    best_size = -1
+    best_sel: list[int] | None = None
+
+    def dfs(i: int, covered: int, chosen: list[int], privates: list[int]):
+        nonlocal best_size, best_sel
+        if (covered | suffix[i]) != universe:
+            return
+        if len(chosen) + (m_count - i) <= best_size:
+            return
+        if i == m_count:
+            # privates all nonempty by construction, so this cover is minimal
+            best_size = len(chosen)
+            best_sel = list(chosen)
+            return
+        new_private = masks[i] & ~covered
+        if new_private:
+            updated = [p & ~masks[i] for p in privates]
+            if all(updated):
+                dfs(i + 1, covered | masks[i], chosen + [i], updated + [new_private])
+        dfs(i + 1, covered, chosen, privates)
+
+    try:
+        dfs(0, 0, [], [])
+    finally:
+        dfs = None  # the closure refers to itself
+    if best_sel is None:
+        raise InvariantViolation("no minimal cover found for coverable universe")
+    return best_size, sorted(best_sel)
 
 
-def max_matching(adj, n, semistrong):
-    if _compiled is not None and n <= 63:
-        return _compiled.max_matching(adj, n, semistrong)
-    return _kernels_py.max_matching(adj, n, semistrong)
+def max_matching(adj, n: int, semistrong: bool):
+    """Maximum strong (induced) or semistrong matching.
+
+    adj is the bitmask adjacency of a graph on n vertices.  A matching M is
+    strong when every matched vertex has degree exactly 1 inside the
+    subgraph induced by V(M); semistrong relaxes that to one endpoint per
+    matching edge.  Both properties are inherited by subsets, so the search
+    only ever extends valid partial matchings.  Returns (size, edge list).
+    """
+    edges: list[tuple[int, int]] = []
+    for u in range(n):
+        for v in bits(adj[u] >> (u + 1)):
+            edges.append((u, u + 1 + v))
+    m = len(edges)
+
+    best_size = 0
+    best_m: list[tuple[int, int]] = []
+
+    def valid(pairs, vmask: int) -> bool:
+        for a, b in pairs:
+            da = (adj[a] & vmask).bit_count()
+            db = (adj[b] & vmask).bit_count()
+            if semistrong:
+                if da != 1 and db != 1:
+                    return False
+            elif da != 1 or db != 1:
+                return False
+        return True
+
+    def dfs(start: int, pairs: list[tuple[int, int]], vmask: int):
+        nonlocal best_size, best_m
+        if len(pairs) > best_size:
+            best_size = len(pairs)
+            best_m = list(pairs)
+        if len(pairs) + (n - vmask.bit_count()) // 2 <= best_size:
+            return
+        for idx in range(start, m):
+            u, v = edges[idx]
+            if (vmask >> u) & 1 or (vmask >> v) & 1:
+                continue
+            nmask = vmask | (1 << u) | (1 << v)
+            pairs.append((u, v))
+            if valid(pairs, nmask):
+                dfs(idx + 1, pairs, nmask)
+            pairs.pop()
+        return
+
+    try:
+        dfs(0, [], 0)
+    finally:
+        dfs = None  # the closure refers to itself
+    return best_size, best_m

@@ -1,4 +1,4 @@
-"""Text formats: graph6, plain edge lists, hypergraph lists, sequences.
+"""Text formats: graph6, plain edge lists and hypergraph lists.
 
 graph6 is the compact printable encoding of an undirected graph: a length
 header followed by the upper triangle of the adjacency matrix in column
@@ -16,15 +16,20 @@ from .graph import Graph
 
 _G6_HEADER = ">>graph6<<"
 
+# Largest order graph6 can encode without its eight-byte length header; the
+# edge-list and hypergraph parsers reject larger headers too, before
+# allocating anything for them.
+MAX_ORDER = 258047
+
 
 def graph_to_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         out = [chr(n + 63)]
-    elif n <= 258047:
+    elif n <= MAX_ORDER:
         out = [chr(126), chr((n >> 12) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
     else:
-        raise ParameterError("graph6 encoding supported up to n = 258047")
+        raise ParameterError(f"graph6 encoding supported up to n = {MAX_ORDER}")
     acc = 0
     nbits = 0
     for j in range(1, n):
@@ -54,7 +59,7 @@ def graph_from_graph6(text: str, line: int | None = None) -> Graph:
         if len(data) < 4:
             raise ParseError("truncated graph6 length header", line)
         if data[1] == 63:
-            raise ParseError("graph6 orders beyond 258047 not supported", line)
+            raise ParseError(f"graph6 orders beyond {MAX_ORDER} not supported", line)
         n = (data[1] << 12) | (data[2] << 6) | data[3]
         body = data[4:]
     else:
@@ -114,6 +119,8 @@ def graph_from_edge_list(text: str) -> Graph:
     if len(parts) != 2:
         raise ParseError("header must be '<order> <edge count>'", lineno)
     n, m = _ints(parts, lineno)
+    if n > MAX_ORDER:
+        raise ParseError(f"orders beyond {MAX_ORDER} not supported", lineno)
     edges = []
     for lineno, line in it:
         parts = line.split()
@@ -158,6 +165,8 @@ def hypergraph_from_text(text: str):
     if len(parts) != 2:
         raise ParseError("header must be '<ground size> <edge count>'", lineno)
     nx, ne = _ints(parts, lineno)
+    if nx > MAX_ORDER:
+        raise ParseError(f"ground sizes beyond {MAX_ORDER} not supported", lineno)
     edge_lists = []
     for lineno, line in it:
         members = _ints(line.split(), lineno)
@@ -170,18 +179,3 @@ def hypergraph_from_text(text: str):
     if len(edge_lists) != ne:
         raise ParseError(f"header promised {ne} hyperedges, found {len(edge_lists)}")
     return Hypergraph.from_edge_lists(nx, edge_lists)
-
-
-# -- sequences ---------------------------------------------------------------
-
-
-def sequence_to_text(seq) -> str:
-    return " ".join(str(v) for v in seq)
-
-
-def sequences_from_text(text: str) -> list[list[int]]:
-    """One whitespace-separated sequence per non-comment line."""
-    out = []
-    for lineno, line in _content_lines(text):
-        out.append(_ints(line.split(), lineno))
-    return out

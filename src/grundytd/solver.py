@@ -306,33 +306,3 @@ def compute_report(g: Graph, keys=None, cap: int | None = None) -> InvariantRepo
         micros = (time.perf_counter_ns() - t0) // 1000
         results[key] = InvariantResult(key, value, witness, micros)
     return InvariantReport(g.n, g.edge_count(), results)
-
-
-def chain_violations(report: InvariantReport) -> list[str]:
-    """Check the proven orderings among the computed invariants.
-
-    Returns human-readable descriptions of any violations (always expected
-    to be empty; a nonempty result means a solver bug).
-    """
-    v = {k: r.value for k, r in report.results.items()}
-    out = []
-
-    def need(cond: bool, text: str):
-        if not cond:
-            out.append(text)
-
-    if "gamma_t" in v and "Gamma_t" in v:
-        need(v["gamma_t"] <= v["Gamma_t"], "gamma_t > Gamma_t")
-    if "Gamma_t" in v and "gamma_grt" in v:
-        need(v["Gamma_t"] <= v["gamma_grt"], "Gamma_t > gamma_grt")
-    if "gamma_t" in v and "gamma_tg" in v:
-        need(v["gamma_t"] <= v["gamma_tg"], "gamma_t > gamma_tg")
-    if "gamma_tg" in v and "gamma_grt" in v:
-        need(v["gamma_tg"] <= v["gamma_grt"], "gamma_tg > gamma_grt")
-    if "nu_s" in v and "nu_ss" in v:
-        need(v["nu_s"] <= v["nu_ss"], "nu_s > nu_ss")
-    if "nu_ss" in v and "gamma_grt" in v:
-        need(2 * v["nu_ss"] <= v["gamma_grt"], "2*nu_ss > gamma_grt")
-    if "gamma_gr" in v and "gamma_grt" in v:
-        need(v["gamma_grt"] <= 2 * v["gamma_gr"], "gamma_grt > 2*gamma_gr")
-    return out

@@ -8,7 +8,7 @@ to sweep.
 
 from itertools import combinations
 
-from grundytd._kernels_py import _check_coverable
+from grundytd.engine import _check_coverable
 from grundytd.graph import bits
 
 
@@ -173,6 +173,34 @@ def upper_total_domination(g):
     if best < 0:
         raise ValueError("no total dominating set")
     return best
+
+
+def skew_zero_forcing_number(g):
+    """Z₋(G): the fewest initially black vertices that turn every vertex black.
+
+    Skew forcing rule: any vertex, black or white, with exactly one white
+    neighbour turns that neighbour black.  Subsets are tried by increasing
+    size.  For graphs without isolated vertices gamma_grt = n - Z₋ (Brešar
+    et al., "Grundy dominating sequences and zero forcing sets", Discrete
+    Optim. 2017), a check that shares nothing with the cover-sequence search.
+    """
+    hoods = neighborhoods(g, "open")
+
+    def forces_all(black):
+        changed = True
+        while changed:
+            changed = False
+            for hood in hoods:
+                white = hood - black
+                if len(white) == 1:
+                    black |= white
+                    changed = True
+        return len(black) == g.n
+
+    for k in range(g.n + 1):
+        for combo in combinations(range(g.n), k):
+            if forces_all(set(combo)):
+                return k
 
 
 def edges_of(g):

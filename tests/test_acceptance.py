@@ -174,6 +174,7 @@ def test_criterion_5_random_trees():
         for _ in range(500):
             t = random_tree(n, rng)
             value = grundy_total_domination_number(t)[0]
+            ok &= value == n - oracles.skew_zero_forcing_number(t)
             matching = tree_perfect_matching(t)
             ok &= (value == n) == (matching is not None)
             if matching is not None:
@@ -263,7 +264,9 @@ def test_criterion_9_oracle_equivalence():
     ok = True
     for n in range(2, 8):
         for g in corpus(n):
-            ok &= grundy_total_domination_number(g)[0] == oracles.longest_sequence(g, "open")[0]
+            value = grundy_total_domination_number(g)[0]
+            ok &= value == oracles.longest_sequence(g, "open")[0]
+            ok &= value == n - oracles.skew_zero_forcing_number(g)
             ok &= grundy_domination_number(g)[0] == oracles.longest_sequence(g, "closed")[0]
             ok &= game_total_domination_number(g)[0] == oracles.game_value(g)
-    announce(9, "memoized solvers match exhaustive DFS to order 7", ok)
+    announce(9, "memoized solvers match exhaustive DFS and n - Z₋ to order 7", ok)

@@ -237,3 +237,11 @@ def test_parse_error_reported(tmp_path, capsys):
     f.write_text("!!!not graph6!!!\n")
     code, _, err = run(capsys, "compute", "--graph", str(f), "--invariant", "gt")
     assert code == 2
+
+
+def test_oversized_edge_list_header_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "huge.txt"
+    f.write_text("99999999999 0\n")
+    code, _, err = run(capsys, "compute", "--graph", str(f), "--format", "edges", "--invariant", "gt")
+    assert code == 2
+    assert "258047" in err

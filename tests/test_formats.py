@@ -42,6 +42,12 @@ def test_edge_list_header_mismatch_rejected():
         graph_from_edge_list("2 2\n0 1")
 
 
+@pytest.mark.parametrize("text", ["300000 0", "99999999999 0"])
+def test_edge_list_oversized_order_rejected(text):
+    with pytest.raises(ParseError, match="258047"):
+        graph_from_edge_list(text)
+
+
 def test_graph6_p3_roundtrip():
     s = graph_to_graph6(path(3))
     assert len(s) == 1 + 1  # one size byte + one adjacency byte
@@ -102,6 +108,11 @@ def test_hypergraph_text_shape():
 def test_hypergraph_text_bad_vertex_rejected():
     with pytest.raises(ParseError):
         hypergraph_from_text("2 1\n0 5\n")
+
+
+def test_hypergraph_text_oversized_ground_rejected():
+    with pytest.raises(ParseError, match="258047"):
+        hypergraph_from_text("300000 1\n0\n")
 
 
 def test_hypergraph_text_edge_count_mismatch_rejected():

@@ -15,7 +15,6 @@ from grundytd import (
     Graph,
     InvariantViolation,
     build_family,
-    chain_violations,
     complete,
     compute_report,
     cycle,
@@ -196,11 +195,6 @@ def test_report_reuses_memory_of_a_finished_search():
 def test_report_subset_of_keys():
     rep = compute_report(path(6), keys=["gamma_t", "gamma_grt"])
     assert sorted(rep.results) == ["gamma_grt", "gamma_t"]
-
-
-def test_chain_violations_empty_on_real_graphs(connected_upto_6):
-    for g in connected_upto_6:
-        assert chain_violations(compute_report(g)) == []
 
 
 def test_named_fixture_values():
