@@ -9,8 +9,9 @@ Subcommands:
   convert   translate between serialization formats
 
 Exit codes: 0 pass, 1 violation found, 2 usage or input problem,
-3 capacity exceeded.  GRUNDY_CAP in the environment overrides the default
-solver cap; --cap overrides both.
+3 capacity exceeded.  --cap raises the solver cap (24 by default), which
+bounds the graph order, a hypergraph's ground size, and, for transversal
+sequences, its edge count.
 """
 
 from __future__ import annotations
@@ -150,9 +151,9 @@ def cmd_compute(args) -> int:
         h = _load_hypergraph(args)
         if h is None:
             raise GrundyTDError("compute needs --family, --graph, or --hypergraph")
-        rho, cover = edge_cover_number(h)
-        rho_gr, cov_wit = grundy_covering_number(h)
-        tau_gr, tr_wit = grundy_transversal_number(h)
+        rho, cover = edge_cover_number(h, args.cap)
+        rho_gr, cov_wit = grundy_covering_number(h, args.cap)
+        tau_gr, tr_wit = grundy_transversal_number(h, args.cap)
         payload = {
             "n_vertices": h.n_vertices,
             "n_edges": len(h.edges),
@@ -300,34 +301,47 @@ def cmd_generate(args) -> int:
 # -- sweep -----------------------------------------------------------------------
 
 
+def _source_number(source: str, text: str, least: int, kind=int):
+    try:
+        value = kind(text)
+    except ValueError:
+        raise GrundyTDError(f"bad sweep source {source!r}: {text!r} is not a number") from None
+    if value < least:
+        raise GrundyTDError(f"bad sweep source {source!r}: {text} is below {least}")
+    return value
+
+
 def _sweep_items(source: str, seed: int):
     """Returns (items, kind) where kind is 'graphs' or 'hypergraphs'."""
     head, _, rest = source.partition(":")
     rng = random.Random(seed)
     if head == "connected":
-        n = int(rest)
+        n = _source_number(source, rest, 0)
         items = []
         for k in range(2, n + 1):
             items.extend(connected_graphs(k))
         return items, "graphs"
     if head == "cubic":
-        n = int(rest)
+        n = _source_number(source, rest, 0)
         items = []
         for k in range(4, n + 1, 2):
             items.extend(connected_cubic_graphs(k))
         return items, "graphs"
     if head == "trees":
         n_str, _, count_str = rest.partition(":")
-        n, count = int(n_str), int(count_str or "100")
+        n = _source_number(source, n_str, 1)
+        count = _source_number(source, count_str or "100", 0)
         return [random_tree(n, rng) for _ in range(count)], "graphs"
     if head == "random":
         parts = rest.split(":")
         if len(parts) != 3:
             raise GrundyTDError("random source is random:N:COUNT:EDGE_PROB")
-        n, count, p = int(parts[0]), int(parts[1]), float(parts[2])
+        n = _source_number(source, parts[0], 1)
+        count = _source_number(source, parts[1], 0)
+        p = _source_number(source, parts[2], 0, float)
         return [random_connected_graph(n, p, rng) for _ in range(count)], "graphs"
     if head == "hyper":
-        count = int(rest or "100")
+        count = _source_number(source, rest or "100", 0)
         return [random_hypergraph(rng) for _ in range(count)], "hypergraphs"
     if head == "g6":
         text = _read_text(rest)
@@ -447,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     p.add_argument("--invariant", help="comma list: gt,Gt,gtg,grt,gr,nus,nuss,all")
     p.add_argument("--all", action="store_true", help="compute every invariant")
-    p.add_argument("--cap", type=int, help="solver size cap (vertices)")
+    p.add_argument("--cap", type=int, help="solver size cap (default 24)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_compute)
 

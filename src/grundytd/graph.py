@@ -3,13 +3,13 @@
 Vertices are 0..n-1.  The adjacency of vertex v is a single int whose bit u
 is set iff uv is an edge; Python ints grow as needed, so nothing here caps n
 (the exact solvers apply their own size cap).  Graphs are immutable and
-hashable on (n, adjacency); labels are cosmetic and ignored by equality.
+hashable on (n, adjacency).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParameterError
 
@@ -26,11 +26,10 @@ def bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Graph:
     n: int
     adj: tuple[int, ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -49,25 +48,12 @@ class Graph:
             for v in bits(self.adj[u]):
                 if not (self.adj[v] >> u) & 1:
                     raise ParameterError(f"asymmetric adjacency between {u} and {v}")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ParameterError("labels length differs from order")
-
-    # Equality is structural: same order, same adjacency, labels ignored.
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.adj == other.adj
-
-    def __hash__(self):
-        return hash((self.n, self.adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
     @classmethod
-    def from_edges(
-        cls, n: int, edges, labels: tuple[str, ...] | None = None
-    ) -> "Graph":
+    def from_edges(cls, n: int, edges) -> "Graph":
         if n < 1:
             raise ParameterError(f"graph order must be >= 1, got {n}")
         rows = [0] * n
@@ -78,7 +64,7 @@ class Graph:
                 raise ParameterError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows), labels)
+        return cls(n, tuple(rows))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -86,22 +72,11 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def open_mask(self, v: int) -> int:
-        """Bitmask of the open neighborhood N(v)."""
-        return self.adj[v]
-
-    def closed_mask(self, v: int) -> int:
-        """Bitmask of the closed neighborhood N[v] = N(v) + v itself."""
-        return self.adj[v] | (1 << v)
-
     def open_masks(self) -> list[int]:
         return list(self.adj)
 
     def closed_masks(self) -> list[int]:
         return [self.adj[v] | (1 << v) for v in range(self.n)]
-
-    def neighbors(self, v: int) -> list[int]:
-        return list(bits(self.adj[v]))
 
     def degree(self, v: int) -> int:
         return _popcount(self.adj[v])
@@ -127,9 +102,6 @@ class Graph:
 
     def has_isolated_vertex(self) -> bool:
         return any(row == 0 for row in self.adj)
-
-    def label(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
 
 
 # -- structural predicates ------------------------------------------------
@@ -241,8 +213,7 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
             if j is not None:
                 row |= 1 << j
         rows.append(row)
-    labels = tuple(g.label(v) for v in kept) if g.labels is not None else None
-    return Graph(len(kept), tuple(rows), labels), kept
+    return Graph(len(kept), tuple(rows)), kept
 
 
 # -- named families --------------------------------------------------------
@@ -270,8 +241,7 @@ def star(leaves: int) -> Graph:
     """K_{1,leaves}: vertex 0 is the center."""
     if leaves < 1:
         raise ParameterError("star needs at least one leaf")
-    labels = ("c",) + tuple(f"l{i}" for i in range(1, leaves + 1))
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)], labels)
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def complete_multipartite(sizes) -> Graph:
@@ -280,17 +250,15 @@ def complete_multipartite(sizes) -> Graph:
         raise ParameterError("every part must have size >= 1")
     n = sum(sizes)
     part_of = []
-    labels = []
     for p, s in enumerate(sizes):
         part_of.extend([p] * s)
-        labels.extend(f"p{p}.{i}" for i in range(s))
     edges = [
         (u, v)
         for u in range(n)
         for v in range(u + 1, n)
         if part_of[u] != part_of[v]
     ]
-    return Graph.from_edges(n, edges, tuple(labels))
+    return Graph.from_edges(n, edges)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -319,10 +287,6 @@ def gm_graph(m: int, block_size: int = 1) -> Graph:
     b = block_size
     n = 2 * m * b
     # X_i occupies [2*i*b, 2*i*b + b), Y_i the next b ids.
-    labels = []
-    for i in range(m):
-        labels.extend(f"x{i}.{t}" for t in range(b))
-        labels.extend(f"y{i}.{t}" for t in range(b))
     edges = []
     for i in range(m):
         for j in range(m):
@@ -331,7 +295,7 @@ def gm_graph(m: int, block_size: int = 1) -> Graph:
             for s in range(b):
                 for t in range(b):
                     edges.append((2 * i * b + s, 2 * j * b + b + t))
-    return Graph.from_edges(n, edges, tuple(labels))
+    return Graph.from_edges(n, edges)
 
 
 def subset_bipartite(k: int) -> Graph:
@@ -344,13 +308,11 @@ def subset_bipartite(k: int) -> Graph:
         raise ParameterError("subset_bipartite needs k >= 2")
     ground = 2 * k - 1
     subsets = list(itertools.combinations(range(ground), k))
-    labels = [f"a{i}" for i in range(ground)]
-    labels += ["{" + ",".join(map(str, s)) + "}" for s in subsets]
     edges = []
     for j, s in enumerate(subsets):
         for x in s:
             edges.append((x, ground + j))
-    return Graph.from_edges(ground + len(subsets), edges, tuple(labels))
+    return Graph.from_edges(ground + len(subsets), edges)
 
 
 def spider(k: int) -> Graph:
@@ -380,8 +342,7 @@ def petersen() -> Graph:
         for p, q in itertools.combinations(pairs, 2)
         if not set(p) & set(q)
     ]
-    labels = tuple("{%d%d}" % p for p in pairs)
-    return Graph.from_edges(10, edges, labels)
+    return Graph.from_edges(10, edges)
 
 
 # -- family spec strings (shared by the CLI and tests) ----------------------

@@ -1,10 +1,15 @@
-"""Legality checking, footprints, greedy extension, and sequence surgery.
+"""Certificate checkers for every witness, plus greedy extension and pruning.
 
-A neighborhood sequence is legal when every entry dominates at least one
-vertex that no earlier entry dominated (its footprints).  With open
-neighborhoods N(v) a complete legal sequence is a total dominating sequence;
-with closed neighborhoods N[v] it is a dominating sequence.  The functions
-here are the certificate checkers for everything the solvers and
+Every sequence notion here is one cover problem over a family of masks:
+entry i of a sequence picks masks[i], and the sequence is legal when each
+entry covers at least one element of the universe that no earlier entry
+covered (its footprints).  Open neighborhoods N(v) as the masks give total
+dominating sequences, closed neighborhoods N[v] dominating sequences;
+hyperedges give covering sequences, and the per-vertex incidence masks of a
+hypergraph give transversal sequences.  The same masks also decide set
+covers (total dominating sets, edge covers) and their minimality.
+
+These are the certificate checkers for everything the solvers and
 constructions produce, so they deliberately share no code with the search
 kernels.
 """
@@ -24,34 +29,40 @@ from .graph import Graph, bits
 Mode = str  # "open" | "closed"
 
 
-def _mode_mask(g: Graph, v: int, mode: Mode) -> int:
+def _masks(g: Graph, mode: Mode):
     if mode == "open":
-        return g.adj[v]
+        return g.adj
     if mode == "closed":
-        return g.adj[v] | (1 << v)
+        return g.closed_masks()
     raise ParameterError(f"mode must be 'open' or 'closed', got {mode!r}")
 
 
-def _validate_sequence(g: Graph, seq) -> list[int]:
+def _distinct(seq, size: int, what: str) -> list[int]:
     out = list(seq)
     seen = set()
-    for v in out:
-        if not isinstance(v, int) or not (0 <= v < g.n):
-            raise SequenceError(f"vertex {v!r} out of range for order {g.n}")
-        if v in seen:
-            raise SequenceError(f"vertex {v} repeats in the sequence")
-        seen.add(v)
+    for x in out:
+        if not isinstance(x, int) or not (0 <= x < size):
+            raise SequenceError(f"{what} {x!r} out of range for size {size}")
+        if x in seen:
+            raise SequenceError(f"{what} {x} repeats in the sequence")
+        seen.add(x)
     return out
+
+
+def certify(ok: bool, what: str) -> None:
+    """Raise InvariantViolation unless a solver's witness passed its check."""
+    if not ok:
+        raise InvariantViolation(f"solver produced an invalid {what} certificate")
 
 
 @dataclass(frozen=True)
 class LegalityReport:
     """Outcome of checking one sequence.
 
-    footprinter[u] is the 0-based position of the entry that first dominated
-    vertex u (None while undominated); new_per_step lists, per legal
-    position, the vertices it footprinted.  Both describe the longest legal
-    prefix when the sequence is illegal.
+    footprinter[u] is the 0-based position of the entry that first covered
+    element u of the universe (None while uncovered); new_per_step lists,
+    per legal position, the elements it footprinted in ascending order.
+    Both describe the longest legal prefix when the sequence is illegal.
     """
 
     legal: bool
@@ -62,40 +73,72 @@ class LegalityReport:
     complete: bool
 
 
-def check_legal(g: Graph, seq, mode: Mode = "open") -> LegalityReport:
-    """Evaluate legality of a sequence and compute its footprint structure."""
-    entries = _validate_sequence(g, seq)
-    footprinter: list[int | None] = [None] * g.n
+def check_cover_sequence(masks, universe: int, seq, what: str = "vertex") -> LegalityReport:
+    """Legality and footprints of picking masks[i] for each entry i of seq.
+
+    Entries must be distinct indices into masks (SequenceError otherwise);
+    what names them in that error.  complete means legal and the universe
+    is covered at the end.
+    """
+    entries = _distinct(seq, len(masks), what)
+    footprinter: list[int | None] = [None] * universe.bit_length()
     new_per_step: list[tuple[int, ...]] = []
-    dominated = 0
+    rest = universe
     violation: int | None = None
-    for pos, v in enumerate(entries):
-        new = _mode_mask(g, v, mode) & ~dominated
+    for pos, i in enumerate(entries):
+        new = masks[i] & rest
         if not new:
             violation = pos
             break
-        new_per_step.append(tuple(bits(new)))
-        for u in bits(new):
+        stamped = tuple(bits(new))
+        new_per_step.append(stamped)
+        for u in stamped:
             footprinter[u] = pos
-        dominated |= new
+        rest ^= new
     return LegalityReport(
         legal=violation is None,
         first_violation=violation,
         footprinter=tuple(footprinter),
         new_per_step=tuple(new_per_step),
-        dominated_mask=dominated,
-        complete=violation is None and dominated == g.full_mask,
+        dominated_mask=universe ^ rest,
+        complete=violation is None and not rest,
     )
+
+
+def is_cover(masks, universe: int, chosen, what: str = "vertex") -> bool:
+    """The masks picked by the distinct indices in chosen cover the universe."""
+    covered = 0
+    for i in _distinct(chosen, len(masks), what):
+        covered |= masks[i]
+    return covered & universe == universe
+
+
+def is_minimal_cover(masks, universe: int, chosen) -> bool:
+    """A cover from which no pick can be dropped: each covers a private element."""
+    entries = _distinct(chosen, len(masks), "vertex")
+    covered = twice = 0
+    for i in entries:
+        twice |= covered & masks[i]
+        covered |= masks[i]
+    if covered & universe != universe:
+        return False
+    private = universe & ~twice
+    return all(masks[i] & private for i in entries)
+
+
+def check_legal(g: Graph, seq, mode: Mode = "open") -> LegalityReport:
+    """Legality and footprints of a vertex sequence of g, open or closed."""
+    return check_cover_sequence(_masks(g, mode), g.full_mask, seq)
 
 
 def is_total_dominating_sequence(g: Graph, seq) -> bool:
     """Legal open-neighborhood sequence whose entries dominate every vertex."""
-    return check_legal(g, seq, "open").complete
+    return check_cover_sequence(g.adj, g.full_mask, seq).complete
 
 
 def is_dominating_sequence(g: Graph, seq) -> bool:
     """Legal closed-neighborhood sequence dominating every vertex."""
-    return check_legal(g, seq, "closed").complete
+    return check_cover_sequence(g.closed_masks(), g.full_mask, seq).complete
 
 
 @dataclass(frozen=True)
@@ -128,7 +171,8 @@ def greedy_extend(
     """
     if policy not in ("lexicographic", "min_footprint", "max_footprint"):
         raise ParameterError(f"unknown policy {policy!r}")
-    report = check_legal(g, prefix, mode)
+    masks = _masks(g, mode)
+    report = check_cover_sequence(masks, g.full_mask, prefix)
     if not report.legal:
         raise PreconditionError(
             f"prefix is not a legal {mode}-neighborhood sequence "
@@ -158,7 +202,7 @@ def greedy_extend(
         best_v = -1
         best_score = 0
         for v in bits(pool_mask & ~used):
-            new_targets = _mode_mask(g, v, mode) & ~dominated & target_mask
+            new_targets = masks[v] & ~dominated & target_mask
             if not new_targets:
                 continue
             if touch_dominated and not (g.adj[v] & dominated):
@@ -176,7 +220,7 @@ def greedy_extend(
             return GreedyResult(tuple(seq), False)
         seq.append(best_v)
         used |= 1 << best_v
-        dominated |= _mode_mask(g, best_v, mode)
+        dominated |= masks[best_v]
     return GreedyResult(tuple(seq), True)
 
 

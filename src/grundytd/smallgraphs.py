@@ -289,12 +289,12 @@ def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def random_hypergraph(rng: random.Random, max_ground: int = 6, max_edges: int = 6):
-    """Random hypergraph with no isolated ground vertices, edges nonempty."""
+def random_hypergraph(rng: random.Random):
+    """Random hypergraph: 2-6 ground vertices, 1-6 nonempty edges, none isolated."""
     from .hypergraph import Hypergraph
 
-    nx = rng.randint(2, max_ground)
-    ne = rng.randint(1, max_edges)
+    nx = rng.randint(2, 6)
+    ne = rng.randint(1, 6)
     masks = []
     for _ in range(ne):
         m = rng.getrandbits(nx)

@@ -15,19 +15,24 @@ Every solver re-checks the certificate it is about to return with the
 independent checkers in the sequences module; a failure there is a bug, not
 bad input.  Instances above the size cap are rejected up front because the
 searches are exponential; the cap defaults to 24 vertices and can be raised
-per call or through the GRUNDY_CAP environment variable.
+per call with the cap argument.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
 from . import engine
 from .errors import CapacityError, DomainError, InvariantViolation, ParameterError
-from .graph import Graph, bits
-from .sequences import check_legal, is_dominating_sequence, is_total_dominating_sequence
+from .graph import Graph
+from .sequences import (
+    certify,
+    is_cover,
+    is_dominating_sequence,
+    is_minimal_cover,
+    is_total_dominating_sequence,
+)
 
 DEFAULT_CAP = 24
 
@@ -53,22 +58,11 @@ TOKEN_TO_KEY = {
 }
 
 
-def resolve_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        if cap < 1:
-            raise ParameterError("cap must be >= 1")
-        return cap
-    env = os.environ.get("GRUNDY_CAP")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParameterError(f"GRUNDY_CAP must be an integer, got {env!r}") from None
-    return DEFAULT_CAP
-
-
 def ensure_capacity(size: int, cap: int | None = None, what: str = "order"):
-    limit = resolve_cap(cap)
+    """Reject a search whose universe has more than cap (default 24) elements."""
+    limit = DEFAULT_CAP if cap is None else cap
+    if limit < 1:
+        raise ParameterError("cap must be >= 1")
     if size > limit:
         mib = 2 ** max(size - 20, 0)
         raise CapacityError(
@@ -91,30 +85,13 @@ def _require_no_isolated(g: Graph, what: str):
 
 
 def is_total_dominating_set(g: Graph, vertices) -> bool:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return all(g.adj[v] & mask for v in range(g.n))
+    """Every vertex has a neighbor among the given distinct vertices."""
+    return is_cover(g.adj, g.full_mask, vertices)
 
 
 def is_minimal_total_dominating_set(g: Graph, vertices) -> bool:
     """Total dominating and no member removable: each has a private neighbor."""
-    vs = list(vertices)
-    if not is_total_dominating_set(g, vs):
-        return False
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
-    for v in vs:
-        others = mask & ~(1 << v)
-        if all(g.adj[u] & others for u in range(g.n)):
-            return False
-    return True
-
-
-def _certify(ok: bool, what: str):
-    if not ok:
-        raise InvariantViolation(f"solver produced an invalid certificate for {what}")
+    return is_minimal_cover(g.adj, g.full_mask, vertices)
 
 
 # -- invariants ---------------------------------------------------------------
@@ -125,7 +102,7 @@ def total_domination_number(g: Graph, cap: int | None = None):
     _require_no_isolated(g, "total domination")
     ensure_capacity(g.n, cap)
     value, sel = engine.min_cover(g.open_masks(), g.full_mask)
-    _certify(is_total_dominating_set(g, sel) and len(sel) == value, "gamma_t")
+    certify(is_total_dominating_set(g, sel) and len(sel) == value, "gamma_t")
     return value, tuple(sel)
 
 
@@ -134,7 +111,7 @@ def upper_total_domination_number(g: Graph, cap: int | None = None):
     _require_no_isolated(g, "total domination")
     ensure_capacity(g.n, cap)
     value, sel = engine.max_minimal_cover(g.open_masks(), g.full_mask)
-    _certify(
+    certify(
         is_minimal_total_dominating_set(g, sel) and len(sel) == value, "Gamma_t"
     )
     return value, tuple(sel)
@@ -145,7 +122,7 @@ def game_total_domination_number(g: Graph, cap: int | None = None):
     _require_no_isolated(g, "the total domination game")
     ensure_capacity(g.n, cap)
     value, trace = engine.game_cover_value(g.open_masks(), g.full_mask)
-    _certify(
+    certify(
         is_total_dominating_sequence(g, trace) and len(trace) == value, "gamma_tg"
     )
     return value, tuple(trace)
@@ -156,26 +133,22 @@ def grundy_total_domination_number(g: Graph, cap: int | None = None):
     _require_no_isolated(g, "a total dominating sequence")
     ensure_capacity(g.n, cap)
     value, seq = engine.max_cover_sequence(g.open_masks(), g.full_mask)
-    _certify(
+    certify(
         is_total_dominating_sequence(g, seq) and len(seq) == value, "gamma_grt"
     )
     return value, tuple(seq)
 
 
-def grundy_domination_number(
-    g: Graph, cap: int | None = None, allow_isolated: bool = False
-):
+def grundy_domination_number(g: Graph, cap: int | None = None):
     """(gamma_gr, a longest dominating sequence).
 
     Isolated vertices are mathematically fine here (each dominates itself)
-    but rejected by default for uniformity with the open-neighborhood
-    invariants; pass allow_isolated=True to accept them.
+    but rejected for uniformity with the open-neighborhood invariants.
     """
-    if not allow_isolated:
-        _require_no_isolated(g, "grundy_domination_number (default policy)")
+    _require_no_isolated(g, "grundy_domination_number")
     ensure_capacity(g.n, cap)
     value, seq = engine.max_cover_sequence(g.closed_masks(), g.full_mask)
-    _certify(is_dominating_sequence(g, seq) and len(seq) == value, "gamma_gr")
+    certify(is_dominating_sequence(g, seq) and len(seq) == value, "gamma_gr")
     return value, tuple(seq)
 
 
@@ -183,7 +156,7 @@ def strong_matching_number(g: Graph, cap: int | None = None):
     """(nu_s, a maximum strong matching as a tuple of edges)."""
     ensure_capacity(g.n, cap)
     value, pairs = engine.max_matching(g.open_masks(), g.n, False)
-    _certify(_matching_ok(g, pairs, False) and len(pairs) == value, "nu_s")
+    certify(_matching_ok(g, pairs, False) and len(pairs) == value, "nu_s")
     return value, tuple(pairs)
 
 
@@ -191,7 +164,7 @@ def semistrong_matching_number(g: Graph, cap: int | None = None):
     """(nu_ss, a maximum semistrong matching as a tuple of edges)."""
     ensure_capacity(g.n, cap)
     value, pairs = engine.max_matching(g.open_masks(), g.n, True)
-    _certify(_matching_ok(g, pairs, True) and len(pairs) == value, "nu_ss")
+    certify(_matching_ok(g, pairs, True) and len(pairs) == value, "nu_ss")
     return value, tuple(pairs)
 
 
@@ -221,9 +194,9 @@ def total_dominating_sequence_of_length(g: Graph, length: int, cap: int | None =
     seq = engine.sequence_of_length(g.open_masks(), g.full_mask, length)
     if seq is None:
         return None
-    _certify(
+    certify(
         is_total_dominating_sequence(g, seq) and len(seq) == length,
-        "a fixed-length sequence",
+        "fixed-length sequence",
     )
     return tuple(seq)
 

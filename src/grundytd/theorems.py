@@ -457,7 +457,7 @@ def _seed_pair(g: Graph, pool) -> tuple[int, int]:
     return best
 
 
-def regular_greedy_sequence(g: Graph, cap: int | None = None) -> RegularConstruction:
+def regular_greedy_sequence(g: Graph) -> RegularConstruction:
     """Build the bound-meeting sequence for a connected k-regular graph.
 
     Non-bipartite: seed with the chosen pair, then repeatedly append a
@@ -475,7 +475,6 @@ def regular_greedy_sequence(g: Graph, cap: int | None = None) -> RegularConstruc
         raise DomainError("construction needs a k-regular graph with k >= 3")
     if is_balanced_complete_bipartite(g, k):
         raise DomainError("balanced complete bipartite graphs are excluded")
-    solver.ensure_capacity(g.n, cap)
 
     if not st.bipartite:
         seed = _seed_pair(g, range(g.n))

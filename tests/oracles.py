@@ -299,6 +299,19 @@ def hyper_longest_transversal(h):
     return best[0], best[1]
 
 
+def hyper_transversal_status(h, seq):
+    """(legal, complete) of a vertex sequence, with edges as plain sets."""
+    members = [set(h.edge_members(i)) for i in range(len(h.edges))]
+    hit = set()
+    legal = len(set(seq)) == len(seq)
+    for v in seq:
+        new = {i for i, m in enumerate(members) if v in m}
+        if new <= hit:
+            legal = False
+        hit |= new
+    return legal, legal and hit == set(range(len(members)))
+
+
 def hyper_cover_number(h):
     members = [set(h.edge_members(i)) for i in range(len(h.edges))]
     full = set(range(h.n_vertices))

@@ -78,6 +78,30 @@ def test_cap_flag_lifts_limit(capsys):
     assert "2" in out
 
 
+def test_hypergraph_cap_exceeded_exit_code(tmp_path, capsys):
+    # 40 ground vertices, 40 edges of three members each
+    big = tmp_path / "big.txt"
+    big.write_text("40 40\n" + "".join(f"{i} {(i + 1) % 40} {(i + 2) % 40}\n" for i in range(40)))
+    for argv in (("compute",), ("verify", "covering-interpolation")):
+        code, _, err = run(capsys, *argv, "--hypergraph", str(big))
+        assert code == 3
+        assert "cap" in err.lower()
+    # 26 ground vertices in nine disjoint edges: over the cap, quick once lifted
+    wide = tmp_path / "wide.txt"
+    wide.write_text("26 9\n" + "".join(f"{3 * i} {3 * i + 1} {3 * i + 2}\n" for i in range(8)) + "24 25\n")
+    assert run(capsys, "compute", "--hypergraph", str(wide))[0] == 3
+    code, out, _ = run(capsys, "compute", "--hypergraph", str(wide), "--cap", "26", "--json")
+    assert code == 0
+    assert [json.loads(out)[k]["value"] for k in ("rho", "rho_gr", "tau_gr")] == [9, 9, 9]
+    # 30 copies of one edge: the transversal search runs over the 30 edges
+    copies = tmp_path / "copies.txt"
+    copies.write_text("3 30\n" + "0 1 2\n" * 30)
+    assert run(capsys, "compute", "--hypergraph", str(copies))[0] == 3
+    code, out, _ = run(capsys, "compute", "--hypergraph", str(copies), "--cap", "30", "--json")
+    assert code == 0
+    assert json.loads(out)["tau_gr"]["value"] == 1
+
+
 def test_verify_known_token(capsys):
     code, out, _ = run(capsys, "verify", "thm4.4", "--family", "cycle:4")
     assert code == 0
@@ -182,6 +206,16 @@ def test_sweep_hyper_source_json(capsys):
     assert blob["passed"] is True
     names = {c["check"] for c in blob["results"]}
     assert "cover-transversal" in names
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["connected:abc", "cubic:x", "trees:5:x", "random:5:3:x", "hyper:-3", "trees:5:-1"],
+)
+def test_malformed_sweep_source_is_usage_error(capsys, source):
+    code, _, err = run(capsys, "sweep", source)
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_sweep_kind_mismatch_usage_error(capsys):

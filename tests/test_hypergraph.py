@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -190,3 +191,30 @@ def test_invalid_covering_witness_raises_invariant_violation(monkeypatch):
     monkeypatch.setattr(engine, "max_cover_sequence", lambda masks, universe: (2, [2, 0]))
     with pytest.raises(InvariantViolation, match="covering certificate"):
         grundy_covering_number(three_edge_h())
+
+
+def test_invalid_edge_cover_witness_raises_invariant_violation(monkeypatch):
+    # edge 0 alone leaves vertex 1 uncovered
+    monkeypatch.setattr(engine, "min_cover", lambda masks, universe: (1, [0]))
+    with pytest.raises(InvariantViolation, match="edge cover certificate"):
+        edge_cover_number(three_edge_h())
+
+
+def test_invalid_fixed_length_witness_raises_invariant_violation(monkeypatch):
+    # edge 2 covers both vertices, so edge 0 after it covers nothing new
+    monkeypatch.setattr(engine, "sequence_of_length", lambda masks, universe, length: [2, 0])
+    with pytest.raises(InvariantViolation, match="fixed-length covering certificate"):
+        covering_sequence_of_length(three_edge_h(), 2)
+
+
+def test_transversal_checker_matches_oracle_with_duplicate_edges():
+    h = Hypergraph.from_edge_lists(4, [[0, 1], [0, 1], [1, 2], [3], [2, 3], [0, 1]])
+    value, wit = grundy_transversal_number(h)
+    assert (value, wit) == oracles.hyper_longest_transversal(h)
+    for k in range(1, 5):
+        for seq in permutations(range(4), k):
+            got = (
+                is_legal_transversal_sequence(h, seq),
+                is_complete_transversal_sequence(h, seq),
+            )
+            assert got == oracles.hyper_transversal_status(h, seq), seq

@@ -105,12 +105,11 @@ def test_invalid_witness_raises_invariant_violation(monkeypatch):
         total_domination_number(cycle(6))
 
 
-def test_cap_blocks_oversized_input(monkeypatch):
+def test_cap_blocks_oversized_input():
     g = complete(30)
     with pytest.raises(CapacityError):
         grundy_total_domination_number(g)
-    monkeypatch.setenv("GRUNDY_CAP", "30")
-    assert grundy_total_domination_number(g)[0] == 2
+    assert grundy_total_domination_number(g, cap=30)[0] == 2
 
 
 def test_explicit_cap_argument_wins():
