@@ -1,13 +1,27 @@
-"""Batch checkers: run one proven statement against many instances.
+"""Checkers: proven statements, each tested on one instance at a time.
 
-Each checker takes a list of graphs (or hypergraphs) and returns a
-CheckResult with reparseable counterexample strings: graphs are dumped as
-graph6, hypergraphs as JSON {"n": ..., "edges": [[...], ...]}.  Checkers
-never raise on a violated statement; they collect it.  Capacity problems
-do propagate, since they mean the instance was too big to decide.
+A checker is a predicate over one instance.  A graph checker receives the
+graph and its solver.InvariantReport and reads the values and witnesses it
+needs from that report; tree, regular and hypergraph checkers receive only
+the instance.  Each returns a CheckResult for that one instance: tested 1,
+or 0 when the statement does not apply, and at most one reparseable
+counterexample string, with graphs dumped as graph6 and hypergraphs as
+JSON {"n": ..., "edges": [[...], ...]}.  Checkers never raise on a
+violated statement; they report it.  Capacity problems do propagate, since
+they mean the instance was too big to decide.
 
-The registry at the bottom maps stable CLI tokens to checkers together
-with the kind of input each one expects.
+run_checks is the one runner, used by both `verify` and `sweep`.  It
+walks the instances once.  For each graph without an isolated vertex (total
+domination is undefined there) it computes one report holding the union of
+the invariants the selected graph checkers declare, passes it to each of
+them and drops it before the next graph, then adds up the per-instance
+results of every checker.  A few results lie outside the seven invariants
+and stay with the checker that needs them, computed once: interpolation
+witnesses, pair labelings and hypergraph covering numbers.
+
+Each checker registers itself under its stable CLI name and aliases,
+with the kind of input it expects and, for a graph checker, the invariants
+it reads; REGISTRY, TOKENS and SUITES are what the CLI looks up.
 """
 
 from __future__ import annotations
@@ -16,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import solver, theorems
-from .errors import InvariantViolation
+from .errors import GrundyTDError, InvariantViolation
 from .formats import graph_to_graph6
 from .graph import Graph, structural_report
 from .hypergraph import (
@@ -33,6 +47,7 @@ from .hypergraph import (
     transversal_to_covering,
 )
 from .sequences import prune_to_closed
+from .solver import InvariantReport
 
 
 @dataclass(frozen=True)
@@ -44,273 +59,43 @@ class CheckResult:
     notes: tuple[str, ...] = ()
 
 
-def _gref(g: Graph) -> str:
-    return graph_to_graph6(g)
-
-
 def _href(h: Hypergraph) -> str:
     return json.dumps(
         {"n": h.n_vertices, "edges": [list(h.edge_members(i)) for i in range(len(h.edges))]}
     )
 
 
+def _pass(name: str, notes: tuple[str, ...] = ()) -> CheckResult:
+    return CheckResult(name, True, 1, (), notes)
+
+
+def _fail(name: str, item, why: str, notes: tuple[str, ...] = ()) -> CheckResult:
+    ref = _href(item) if isinstance(item, Hypergraph) else graph_to_graph6(item)
+    return CheckResult(name, False, 1, (f"{ref} :: {why}",), notes)
+
+
+def _untested(name: str) -> CheckResult:
+    return CheckResult(name, True, 0)
+
+
 class _Collector:
+    """One checker's tally over the instances of a run."""
+
     def __init__(self, name: str):
         self.name = name
         self.tested = 0
         self.bad: list[str] = []
         self.notes: list[str] = []
 
-    def fail(self, ref: str, why: str) -> None:
-        self.bad.append(f"{ref} :: {why}")
+    def add(self, res: CheckResult) -> None:
+        self.tested += res.tested
+        self.bad.extend(res.counterexamples)
+        self.notes.extend(res.notes)
 
     def result(self) -> CheckResult:
         return CheckResult(
             self.name, not self.bad, self.tested, tuple(self.bad), tuple(self.notes)
         )
-
-
-# -- graph checkers ----------------------------------------------------------
-
-
-def check_bound_chain(graphs, cap=None) -> CheckResult:
-    """All proven inequalities among the invariants hold simultaneously."""
-    col = _Collector("bound-chain")
-    for g in graphs:
-        if g.has_isolated_vertex():
-            continue
-        col.tested += 1
-        rep = theorems.bound_report(g, cap=cap)
-        if rep.violations:
-            col.fail(_gref(g), "violated: " + ", ".join(rep.violations))
-    return col.result()
-
-
-def check_min_three_gap(graphs, cap=None) -> CheckResult:
-    """A minimum total dominating set of size 3 forces a longest sequence of 4+."""
-    col = _Collector("min-three-gap")
-    for g in graphs:
-        if g.has_isolated_vertex():
-            continue
-        col.tested += 1
-        gt, _ = solver.total_domination_number(g, cap)
-        if gt != 3:
-            continue
-        grt, _ = solver.grundy_total_domination_number(g, cap)
-        if grt < 4:
-            col.fail(_gref(g), f"gamma_t=3 but gamma_grt={grt}")
-    return col.result()
-
-
-def check_order_labeling(graphs, cap=None) -> CheckResult:
-    """Longest sequence spans all vertices iff the pair labeling peels out."""
-    col = _Collector("order-labeling")
-    for g in graphs:
-        if g.has_isolated_vertex():
-            continue
-        col.tested += 1
-        value, seq = solver.grundy_total_domination_number(g, cap)
-        if value != g.n:
-            if g.n % 2 == 0 and theorems.find_pair_labeling(g, cap) is not None:
-                col.fail(_gref(g), f"labeling found yet gamma_grt={value} < n")
-            continue
-        try:
-            theorems.pair_labeling_from_sequence(g, seq)
-        except InvariantViolation as exc:
-            col.fail(_gref(g), f"peeling failed: {exc}")
-    return col.result()
-
-
-def check_value_two_multipartite(graphs, cap=None) -> CheckResult:
-    """Longest-sequence value 2 exactly on complete multipartite graphs."""
-    col = _Collector("value-two-multipartite")
-    for g in graphs:
-        if g.has_isolated_vertex():
-            continue
-        col.tested += 1
-        value, _ = solver.grundy_total_domination_number(g, cap)
-        parts = theorems.complete_multipartite_parts(g)
-        if (value == 2) != (parts is not None):
-            col.fail(
-                _gref(g),
-                f"gamma_grt={value}, complete multipartite={parts is not None}",
-            )
-    return col.result()
-
-
-def check_closed_ratio(graphs, cap=None) -> CheckResult:
-    """Open value at most twice the closed value, witnessed by pruning."""
-    col = _Collector("closed-ratio")
-    for g in graphs:
-        if g.has_isolated_vertex():
-            continue
-        col.tested += 1
-        grt, wit = solver.grundy_total_domination_number(g, cap)
-        gr, _ = solver.grundy_domination_number(g, cap)
-        if grt > 2 * gr:
-            col.fail(_gref(g), f"gamma_grt={grt} > 2*gamma_gr={2 * gr}")
-            continue
-        try:
-            pruned = prune_to_closed(g, wit)
-        except InvariantViolation as exc:
-            col.fail(_gref(g), f"pruning failed: {exc}")
-            continue
-        if 2 * len(pruned) < grt:
-            col.fail(_gref(g), f"pruned length {len(pruned)} below half of {grt}")
-    return col.result()
-
-
-def check_graph_interpolation(graphs, cap=None) -> CheckResult:
-    """Every length between the minimum and the maximum is realized."""
-    col = _Collector("graph-interpolation")
-    for g in graphs:
-        if g.has_isolated_vertex():
-            continue
-        col.tested += 1
-        try:
-            solver.interpolation_witnesses(g, cap)
-        except InvariantViolation as exc:
-            col.fail(_gref(g), str(exc))
-    return col.result()
-
-
-def check_neighborhood_correspondence(graphs, cap=None) -> CheckResult:
-    """Covering the neighborhood hypergraph is the same problem."""
-    col = _Collector("neighborhood-correspondence")
-    for g in graphs:
-        if g.has_isolated_vertex():
-            continue
-        col.tested += 1
-        grt, _ = solver.grundy_total_domination_number(g, cap)
-        rho_gr, _ = grundy_covering_number(open_neighborhood_hypergraph(g), cap)
-        if grt != rho_gr:
-            col.fail(_gref(g), f"gamma_grt={grt} but rho_gr={rho_gr}")
-    return col.result()
-
-
-# -- tree checkers -----------------------------------------------------------
-
-
-def check_tree_matching_order(trees, cap=None) -> CheckResult:
-    """Tree value equals order iff a perfect matching exists, with witness."""
-    col = _Collector("tree-matching-order")
-    for t in trees:
-        if t.n < 2:
-            continue
-        col.tested += 1
-        value, _ = solver.grundy_total_domination_number(t, cap)
-        pm = theorems.tree_perfect_matching(t)
-        if (value == t.n) != (pm is not None):
-            col.fail(_gref(t), f"gamma_grt={value}, n={t.n}, matching={pm is not None}")
-            continue
-        if pm is not None:
-            try:
-                theorems.tree_matching_sequence(t, pm)
-            except InvariantViolation as exc:
-                col.fail(_gref(t), f"witness construction failed: {exc}")
-    return col.result()
-
-
-def check_tree_lower_bound(trees, cap=None) -> CheckResult:
-    """No strong support vertex forces value >= 2(n+1)/3; equality is the family."""
-    col = _Collector("tree-lower-bound")
-    for t in trees:
-        if t.n < 2:
-            continue
-        rep = theorems.tree_bound_report(t, cap=cap)
-        if not rep.applicable:
-            continue
-        col.tested += 1
-        if not rep.meets_bound:
-            col.fail(_gref(t), f"gamma_grt={rep.gamma_grt} below bound {rep.bound}")
-            continue
-        cert = theorems.is_in_family_t(t)
-        if rep.equality != (cert is not None):
-            col.fail(
-                _gref(t),
-                f"equality={rep.equality} but family membership={cert is not None}",
-            )
-        elif cert is not None and t.n % 3 != 2:
-            col.fail(_gref(t), "family member with order not 2 mod 3")
-    return col.result()
-
-
-def check_regular_construction(graphs, cap=None) -> CheckResult:
-    """Greedy construction reaches the proven length on every regular input."""
-    col = _Collector("regular-construction")
-    for g in graphs:
-        st = structural_report(g)
-        k = st.regular_degree
-        if not st.connected or k is None or k < 3:
-            continue
-        if theorems.is_balanced_complete_bipartite(g, k):
-            continue
-        col.tested += 1
-        try:
-            rc = theorems.regular_greedy_sequence(g)
-        except InvariantViolation as exc:
-            col.fail(_gref(g), f"construction failed: {exc}")
-            continue
-        if not rc.meets_bound:
-            col.fail(
-                _gref(g),
-                f"length {len(rc.sequence)} below bound {rc.bound} (k={rc.k})",
-            )
-    return col.result()
-
-
-# -- hypergraph checkers -----------------------------------------------------
-
-
-def check_cover_transversal(hypergraphs, cap=None) -> CheckResult:
-    """Covering and transversal numbers agree; reversals preserve length."""
-    col = _Collector("cover-transversal")
-    for h in hypergraphs:
-        col.tested += 1
-        rho_gr, cov_wit = grundy_covering_number(h, cap)
-        tau_gr, tr_wit = grundy_transversal_number(h, cap)
-        if rho_gr != tau_gr:
-            col.fail(_href(h), f"rho_gr={rho_gr} != tau_gr={tau_gr}")
-            continue
-        cov = transversal_to_covering(h, tr_wit)
-        if len(cov) != tau_gr or not is_complete_covering_sequence(h, cov):
-            col.fail(_href(h), "reversed transversal is not a full covering sequence")
-            continue
-        tr = covering_to_transversal(h, cov_wit)
-        if len(tr) != rho_gr or not is_complete_transversal_sequence(h, tr):
-            col.fail(_href(h), "reversed covering is not a full transversal")
-    return col.result()
-
-
-def check_incidence_double(hypergraphs, cap=None) -> CheckResult:
-    """Incidence graph value is exactly twice the covering number."""
-    col = _Collector("incidence-double")
-    for h in hypergraphs:
-        col.tested += 1
-        rho_gr, _ = grundy_covering_number(h, cap)
-        g = incidence_graph(h)
-        grt, _ = solver.grundy_total_domination_number(g, cap)
-        col.notes.append(
-            f"n={h.n_vertices} edges={len(h.edges)}: rho_gr={rho_gr}, "
-            f"gamma_grt(incidence)={grt}"
-        )
-        if grt != 2 * rho_gr:
-            col.fail(_href(h), f"gamma_grt={grt} != 2*rho_gr={2 * rho_gr}")
-    return col.result()
-
-
-def check_covering_interpolation(hypergraphs, cap=None) -> CheckResult:
-    """Every length between minimum cover and covering number is realized."""
-    col = _Collector("covering-interpolation")
-    for h in hypergraphs:
-        col.tested += 1
-        rho, _ = edge_cover_number(h, cap)
-        rho_gr, _ = grundy_covering_number(h, cap)
-        for length in range(rho, rho_gr + 1):
-            if covering_sequence_of_length(h, length, cap) is None:
-                col.fail(_href(h), f"no covering sequence of length {length}")
-                break
-    return col.result()
 
 
 # -- registry ----------------------------------------------------------------
@@ -321,106 +106,254 @@ class CheckDef:
     name: str
     run: object
     kind: str  # graphs | trees | regular | hypergraphs
-    summary: str
     aliases: tuple[str, ...] = field(default=())
+    keys: tuple[str, ...] = field(default=())  # invariants a graph checker reads
 
 
-_DEFS = (
-    CheckDef(
-        "bound-chain",
-        check_bound_chain,
-        "graphs",
-        "all proven inequalities among the seven invariants",
-    ),
-    CheckDef(
-        "min-three-gap",
-        check_min_three_gap,
-        "graphs",
-        "minimum 3 forces longest sequence at least 4",
-        ("thm3.2",),
-    ),
-    CheckDef(
-        "order-labeling",
-        check_order_labeling,
-        "graphs",
-        "value n iff the pair labeling exists",
-        ("thm4.2",),
-    ),
-    CheckDef(
-        "value-two-multipartite",
-        check_value_two_multipartite,
-        "graphs",
-        "value 2 iff complete multipartite",
-        ("thm4.4",),
-    ),
-    CheckDef(
-        "tree-matching-order",
-        check_tree_matching_order,
-        "trees",
-        "tree value n iff perfect matching, with constructed witness",
-        ("thm5.1",),
-    ),
-    CheckDef(
-        "tree-lower-bound",
-        check_tree_lower_bound,
-        "trees",
-        "2(n+1)/3 bound and its equality family",
-        ("thm5.4",),
-    ),
-    CheckDef(
-        "regular-construction",
-        check_regular_construction,
-        "regular",
-        "greedy construction meets the regular-graph bound",
-        ("thm6.2",),
-    ),
-    CheckDef(
-        "closed-ratio",
-        check_closed_ratio,
-        "graphs",
-        "open value at most twice closed value, with pruning witness",
-        ("thm7.2",),
-    ),
-    CheckDef(
-        "cover-transversal",
-        check_cover_transversal,
-        "hypergraphs",
-        "covering equals transversal, with reversal witnesses",
-        ("prop8.2",),
-    ),
-    CheckDef(
-        "incidence-double",
-        check_incidence_double,
-        "hypergraphs",
-        "incidence graph doubles the covering number",
-        ("thm8.3",),
-    ),
-    CheckDef(
-        "graph-interpolation",
-        check_graph_interpolation,
-        "graphs",
-        "every length between min and max is realized",
-        ("cor8.1",),
-    ),
-    CheckDef(
-        "covering-interpolation",
-        check_covering_interpolation,
-        "hypergraphs",
-        "every covering length between min and max is realized",
-        ("thm8.1",),
-    ),
-    CheckDef(
-        "neighborhood-correspondence",
-        check_neighborhood_correspondence,
-        "graphs",
-        "neighborhood hypergraph covering equals the graph value",
-    ),
-)
+REGISTRY: dict[str, CheckDef] = {}
 
-REGISTRY: dict[str, CheckDef] = {d.name: d for d in _DEFS}
+
+def _checker(name: str, kind: str, *aliases: str, keys=()):
+    """Register the decorated function as the checker with this CLI name."""
+
+    def register(run):
+        REGISTRY[name] = CheckDef(name, run, kind, aliases, keys)
+        return run
+
+    return register
+
+
+# -- graph checkers: (graph, report) -----------------------------------------
+
+
+@_checker("bound-chain", "graphs", keys=solver.INVARIANT_KEYS)
+def check_bound_chain(g: Graph, rep: InvariantReport, cap=None) -> CheckResult:
+    """All proven inequalities among the invariants hold simultaneously."""
+    violations = theorems.bound_report(g, rep).violations
+    if violations:
+        return _fail("bound-chain", g, "violated: " + ", ".join(violations))
+    return _pass("bound-chain")
+
+
+@_checker("min-three-gap", "graphs", "thm3.2", keys=("gamma_t", "gamma_grt"))
+def check_min_three_gap(g: Graph, rep: InvariantReport, cap=None) -> CheckResult:
+    """A minimum total dominating set of size 3 forces a longest sequence of 4+."""
+    grt = rep.value("gamma_grt")
+    if rep.value("gamma_t") == 3 and grt < 4:
+        return _fail("min-three-gap", g, f"gamma_t=3 but gamma_grt={grt}")
+    return _pass("min-three-gap")
+
+
+@_checker("order-labeling", "graphs", "thm4.2", keys=("gamma_grt",))
+def check_order_labeling(g: Graph, rep: InvariantReport, cap=None) -> CheckResult:
+    """Longest sequence spans all vertices iff the pair labeling peels out.
+
+    Below n there is no length-n sequence to peel, so only the forward
+    direction runs here; the test suite checks the converse against a
+    brute-force labeling search.
+    """
+    if rep.value("gamma_grt") != g.n:
+        return _pass("order-labeling")
+    try:
+        theorems.pair_labeling_from_sequence(g, rep.witness("gamma_grt"))
+    except InvariantViolation as exc:
+        return _fail("order-labeling", g, f"peeling failed: {exc}")
+    return _pass("order-labeling")
+
+
+@_checker("value-two-multipartite", "graphs", "thm4.4", keys=("gamma_grt",))
+def check_value_two_multipartite(g: Graph, rep: InvariantReport, cap=None) -> CheckResult:
+    """Longest-sequence value 2 exactly on complete multipartite graphs."""
+    value = rep.value("gamma_grt")
+    parts = theorems.complete_multipartite_parts(g)
+    if (value == 2) != (parts is not None):
+        why = f"gamma_grt={value}, complete multipartite={parts is not None}"
+        return _fail("value-two-multipartite", g, why)
+    return _pass("value-two-multipartite")
+
+
+@_checker("closed-ratio", "graphs", "thm7.2", keys=("gamma_grt", "gamma_gr"))
+def check_closed_ratio(g: Graph, rep: InvariantReport, cap=None) -> CheckResult:
+    """Open value at most twice the closed value, witnessed by pruning."""
+    grt, gr = rep.value("gamma_grt"), rep.value("gamma_gr")
+    if grt > 2 * gr:
+        return _fail("closed-ratio", g, f"gamma_grt={grt} > 2*gamma_gr={2 * gr}")
+    try:
+        pruned = prune_to_closed(g, rep.witness("gamma_grt"))
+    except InvariantViolation as exc:
+        return _fail("closed-ratio", g, f"pruning failed: {exc}")
+    if 2 * len(pruned) < grt:
+        return _fail("closed-ratio", g, f"pruned length {len(pruned)} below half of {grt}")
+    return _pass("closed-ratio")
+
+
+@_checker("graph-interpolation", "graphs", "cor8.1")
+def check_graph_interpolation(g: Graph, rep: InvariantReport, cap=None) -> CheckResult:
+    """Every length between the minimum and the maximum is realized."""
+    try:
+        solver.interpolation_witnesses(g, cap)
+    except InvariantViolation as exc:
+        return _fail("graph-interpolation", g, str(exc))
+    return _pass("graph-interpolation")
+
+
+@_checker("neighborhood-correspondence", "graphs", keys=("gamma_grt",))
+def check_neighborhood_correspondence(
+    g: Graph, rep: InvariantReport, cap=None
+) -> CheckResult:
+    """Covering the neighborhood hypergraph is the same problem."""
+    grt = rep.value("gamma_grt")
+    rho_gr, _ = grundy_covering_number(open_neighborhood_hypergraph(g), cap)
+    if grt != rho_gr:
+        why = f"gamma_grt={grt} but rho_gr={rho_gr}"
+        return _fail("neighborhood-correspondence", g, why)
+    return _pass("neighborhood-correspondence")
+
+
+# -- tree checkers -----------------------------------------------------------
+
+
+@_checker("tree-matching-order", "trees", "thm5.1")
+def check_tree_matching_order(t: Graph, cap=None) -> CheckResult:
+    """Tree value equals order iff a perfect matching exists, with witness."""
+    if t.n < 2:
+        return _untested("tree-matching-order")
+    value, _ = solver.grundy_total_domination_number(t, cap)
+    pm = theorems.tree_perfect_matching(t)
+    if (value == t.n) != (pm is not None):
+        why = f"gamma_grt={value}, n={t.n}, matching={pm is not None}"
+        return _fail("tree-matching-order", t, why)
+    if pm is not None:
+        try:
+            theorems.tree_matching_sequence(t, pm)
+        except InvariantViolation as exc:
+            return _fail("tree-matching-order", t, f"witness construction failed: {exc}")
+    return _pass("tree-matching-order")
+
+
+@_checker("tree-lower-bound", "trees", "thm5.4")
+def check_tree_lower_bound(t: Graph, cap=None) -> CheckResult:
+    """No strong support vertex forces value >= 2(n+1)/3; equality is the family."""
+    if t.n < 2:
+        return _untested("tree-lower-bound")
+    rep = theorems.tree_bound_report(t, solver.compute_report(t, ("gamma_grt",), cap))
+    if not rep.applicable:
+        return _untested("tree-lower-bound")
+    if not rep.meets_bound:
+        why = f"gamma_grt={rep.gamma_grt} below bound {rep.bound}"
+        return _fail("tree-lower-bound", t, why)
+    # the report already holds the family certificate when equality holds
+    cert = rep.certificate if rep.equality else theorems.is_in_family_t(t)
+    if rep.equality != (cert is not None):
+        why = f"equality={rep.equality} but family membership={cert is not None}"
+        return _fail("tree-lower-bound", t, why)
+    if cert is not None and t.n % 3 != 2:
+        return _fail("tree-lower-bound", t, "family member with order not 2 mod 3")
+    return _pass("tree-lower-bound")
+
+
+# -- regular checkers --------------------------------------------------------
+
+
+@_checker("regular-construction", "regular", "thm6.2")
+def check_regular_construction(g: Graph, cap=None) -> CheckResult:
+    """Greedy construction reaches the proven length on every regular input."""
+    st = structural_report(g)
+    k = st.regular_degree
+    if not st.connected or k is None or k < 3:
+        return _untested("regular-construction")
+    if theorems.is_balanced_complete_bipartite(g, k):
+        return _untested("regular-construction")
+    try:
+        rc = theorems.regular_greedy_sequence(g)
+    except InvariantViolation as exc:
+        return _fail("regular-construction", g, f"construction failed: {exc}")
+    if not rc.meets_bound:
+        why = f"length {len(rc.sequence)} below bound {rc.bound} (k={rc.k})"
+        return _fail("regular-construction", g, why)
+    return _pass("regular-construction")
+
+
+# -- hypergraph checkers -----------------------------------------------------
+
+
+@_checker("cover-transversal", "hypergraphs", "prop8.2")
+def check_cover_transversal(h: Hypergraph, cap=None) -> CheckResult:
+    """Covering and transversal numbers agree; reversals preserve length."""
+    rho_gr, cov_wit = grundy_covering_number(h, cap)
+    tau_gr, tr_wit = grundy_transversal_number(h, cap)
+    if rho_gr != tau_gr:
+        return _fail("cover-transversal", h, f"rho_gr={rho_gr} != tau_gr={tau_gr}")
+    cov = transversal_to_covering(h, tr_wit)
+    if len(cov) != tau_gr or not is_complete_covering_sequence(h, cov):
+        why = "reversed transversal is not a full covering sequence"
+        return _fail("cover-transversal", h, why)
+    tr = covering_to_transversal(h, cov_wit)
+    if len(tr) != rho_gr or not is_complete_transversal_sequence(h, tr):
+        return _fail("cover-transversal", h, "reversed covering is not a full transversal")
+    return _pass("cover-transversal")
+
+
+@_checker("incidence-double", "hypergraphs", "thm8.3")
+def check_incidence_double(h: Hypergraph, cap=None) -> CheckResult:
+    """Incidence graph value is exactly twice the covering number."""
+    rho_gr, _ = grundy_covering_number(h, cap)
+    grt, _ = solver.grundy_total_domination_number(incidence_graph(h), cap)
+    notes = (
+        f"n={h.n_vertices} edges={len(h.edges)}: rho_gr={rho_gr}, "
+        f"gamma_grt(incidence)={grt}",
+    )
+    if grt != 2 * rho_gr:
+        return _fail("incidence-double", h, f"gamma_grt={grt} != 2*rho_gr={2 * rho_gr}", notes)
+    return _pass("incidence-double", notes)
+
+
+@_checker("covering-interpolation", "hypergraphs", "thm8.1")
+def check_covering_interpolation(h: Hypergraph, cap=None) -> CheckResult:
+    """Every length between minimum cover and covering number is realized."""
+    rho, _ = edge_cover_number(h, cap)
+    rho_gr, _ = grundy_covering_number(h, cap)
+    for length in range(rho, rho_gr + 1):
+        if covering_sequence_of_length(h, length, cap) is None:
+            why = f"no covering sequence of length {length}"
+            return _fail("covering-interpolation", h, why)
+    return _pass("covering-interpolation")
+
+
+# -- the runner --------------------------------------------------------------
+
+
+def run_checks(names, items, item_kind: str, cap=None) -> list[CheckResult]:
+    """Run the named checkers, in order, over items one instance at a time.
+
+    item_kind says what the items are ('hypergraphs' or a graph kind); a
+    checker that expects the other sort is a usage error.  Graph checkers
+    share one report per graph, computed with only the invariants they
+    declare; the report is never kept past its graph.
+    """
+    defs = [REGISTRY[name] for name in names]
+    for d in defs:
+        if (d.kind == "hypergraphs") != (item_kind == "hypergraphs"):
+            raise GrundyTDError(
+                f"check {d.name!r} expects {d.kind} but the source provides {item_kind}"
+            )
+    keys = [k for k in solver.INVARIANT_KEYS if any(k in d.keys for d in defs)]
+    on_graphs = any(d.kind == "graphs" for d in defs)
+    tallies = [_Collector(d.name) for d in defs]
+    for item in items:
+        rep = None
+        if on_graphs and not item.has_isolated_vertex():
+            rep = solver.compute_report(item, keys, cap)
+        for d, tally in zip(defs, tallies):
+            if d.kind != "graphs":
+                tally.add(d.run(item, cap))
+            elif rep is not None:
+                tally.add(d.run(item, rep, cap))
+    return [tally.result() for tally in tallies]
+
 
 TOKENS: dict[str, str] = {}
-for _d in _DEFS:
+for _d in REGISTRY.values():
     TOKENS[_d.name] = _d.name
     for _a in _d.aliases:
         TOKENS[_a] = _d.name

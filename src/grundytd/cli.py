@@ -230,8 +230,7 @@ def cmd_verify(args) -> int:
             f"unknown check {token!r}; available: " + ", ".join(sorted(checks.TOKENS))
         )
     d = checks.REGISTRY[checks.TOKENS[token]]
-    items = _items_for_kind(d.kind, args)
-    res = d.run(items, cap=args.cap)
+    [res] = checks.run_checks([d.name], _items_for_kind(d.kind, args), d.kind, args.cap)
     _emit_check(res, args.json)
     return 0 if res.passed else 1
 
@@ -372,15 +371,7 @@ def cmd_sweep(args) -> int:
                 f"unknown suite {suite!r}; available: " + ", ".join(checks.SUITES)
             )
         names = list(checks.SUITES[suite])
-    results = []
-    for name in names:
-        d = checks.REGISTRY[name]
-        wants_hyper = d.kind == "hypergraphs"
-        if wants_hyper != (item_kind == "hypergraphs"):
-            raise GrundyTDError(
-                f"check {name!r} expects {d.kind} but the source provides {item_kind}"
-            )
-        results.append(d.run(items, cap=args.cap))
+    results = checks.run_checks(names, items, item_kind, args.cap)
     if args.json:
         json.dump(
             {

@@ -119,6 +119,8 @@ def graph_from_edge_list(text: str) -> Graph:
     if len(parts) != 2:
         raise ParseError("header must be '<order> <edge count>'", lineno)
     n, m = _ints(parts, lineno)
+    if n < 1:
+        raise ParseError(f"order must be >= 1, got {n}", lineno)
     if n > MAX_ORDER:
         raise ParseError(f"orders beyond {MAX_ORDER} not supported", lineno)
     edges = []
@@ -165,6 +167,8 @@ def hypergraph_from_text(text: str):
     if len(parts) != 2:
         raise ParseError("header must be '<ground size> <edge count>'", lineno)
     nx, ne = _ints(parts, lineno)
+    if nx < 1 or ne < 1:
+        raise ParseError("ground size and edge count must be >= 1", lineno)
     if nx > MAX_ORDER:
         raise ParseError(f"ground sizes beyond {MAX_ORDER} not supported", lineno)
     edge_lists = []
@@ -178,4 +182,7 @@ def hypergraph_from_text(text: str):
         edge_lists.append(members)
     if len(edge_lists) != ne:
         raise ParseError(f"header promised {ne} hyperedges, found {len(edge_lists)}")
-    return Hypergraph.from_edge_lists(nx, edge_lists)
+    try:
+        return Hypergraph.from_edge_lists(nx, edge_lists)
+    except ParameterError as exc:  # a ground vertex in no hyperedge
+        raise ParseError(str(exc)) from None

@@ -398,9 +398,10 @@ class TreeBoundReport:
     certificate: FamilyTCertificate | None
 
 
-def tree_bound_report(t: Graph, cap: int | None = None) -> TreeBoundReport:
+def tree_bound_report(t: Graph, rep: solver.InvariantReport) -> TreeBoundReport:
+    """Evaluate the bound on a tree, reading gamma_grt from its report."""
     st = _require_tree(t)
-    value, _ = solver.grundy_total_domination_number(t, cap)
+    value = rep.value("gamma_grt")
     applicable = t.n >= 2 and not st.strong_support_vertices
     if not applicable:
         return TreeBoundReport(
@@ -546,9 +547,11 @@ class BoundReport:
         return tuple(c.name for c in self.checks if not c.holds)
 
 
-def bound_report(g: Graph, cap: int | None = None) -> BoundReport:
-    """Every proven relation among the invariants, evaluated on one graph."""
-    rep = solver.compute_report(g, cap=cap)
+def bound_report(g: Graph, rep: solver.InvariantReport) -> BoundReport:
+    """Every proven relation among the invariants, evaluated on one graph.
+
+    The values come from rep, a report on g that holds all seven invariants.
+    """
     st = structural_report(g)
     v = {key: r.value for key, r in rep.results.items()}
     n = g.n

@@ -6,7 +6,7 @@ The production solvers must agree with these on every input small enough
 to sweep.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from grundytd.engine import _check_coverable
 from grundytd.graph import bits
@@ -201,6 +201,29 @@ def skew_zero_forcing_number(g):
         for combo in combinations(range(g.n), k):
             if forces_all(set(combo)):
                 return k
+
+
+def pair_labeling(g):
+    """A pair labeling of g as the vertex order x1..xk yk..y1, or None.
+
+    The labeling pairs all n = 2k vertices as x_i y_i such that each x_i y_i
+    is an edge, x1..xk are pairwise non-adjacent, and y_j has no neighbour
+    x_i with i < j.  Every vertex order is tried; gamma_grt = n exactly when
+    one exists (Brešar, Henning and Rall, Thm 4.2).
+    """
+    if g.n % 2:
+        return None
+    k = g.n // 2
+    hoods = neighborhoods(g, "open")
+    for order in permutations(range(g.n)):
+        xs, ys = order[:k], order[k:][::-1]
+        if (
+            all(ys[i] in hoods[xs[i]] for i in range(k))
+            and not any(xs[j] in hoods[xs[i]] for i in range(k) for j in range(i + 1, k))
+            and not any(xs[i] in hoods[ys[j]] for j in range(k) for i in range(j))
+        ):
+            return order
+    return None
 
 
 def edges_of(g):

@@ -106,7 +106,7 @@ def test_criterion_2_named_fixtures():
 
 def _chain_and_bounds(graphs):
     for g in graphs:
-        rep = bound_report(g)
+        rep = bound_report(g, compute_report(g))
         if rep.violations:
             return False, f"n={g.n} adj={g.adj}: {rep.violations}"
     return True, ""
@@ -180,7 +180,7 @@ def test_criterion_5_random_trees():
             if matching is not None:
                 seq = tree_matching_sequence(t)
                 ok &= len(seq) == n and is_total_dominating_sequence(t, seq)
-            rep = tree_bound_report(t)
+            rep = tree_bound_report(t, compute_report(t, ("gamma_grt",)))
             if rep.applicable:
                 ok &= Fraction(value) >= rep.bound
                 member = is_in_family_t(t) is not None

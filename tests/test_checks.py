@@ -1,7 +1,21 @@
+import json
 import random
 
-from grundytd import connected_cubic_graphs, connected_graphs, petersen, random_hypergraph, random_tree
-from grundytd.checks import REGISTRY, SUITES, TOKENS
+import pytest
+
+from grundytd import (
+    Graph,
+    cli,
+    connected_cubic_graphs,
+    connected_graphs,
+    engine,
+    graph_to_graph6,
+    petersen,
+    random_hypergraph,
+    random_tree,
+    solver,
+)
+from grundytd.checks import REGISTRY, SUITES, TOKENS, run_checks
 
 
 def small_graphs():
@@ -32,8 +46,7 @@ ITEMS = {
 
 def test_every_registered_check_passes_its_corpus():
     for name, check in REGISTRY.items():
-        items = ITEMS[check.kind]()
-        result = check.run(items)
+        [result] = run_checks([name], ITEMS[check.kind](), check.kind)
         assert result.passed, (name, result.counterexamples[:3])
         assert result.tested > 0
         assert result.name == name
@@ -62,15 +75,86 @@ def test_token_aliases_resolve():
 def test_counterexamples_reference_inputs():
     # feed the multipartite check a corpus that cannot fail and confirm the
     # bookkeeping fields rather than fabricating a failing case
-    check = REGISTRY["value-two-multipartite"]
-    result = check.run(small_graphs())
+    [result] = run_checks(["value-two-multipartite"], small_graphs(), "graphs")
     assert result.passed and result.counterexamples == ()
 
 
 def test_isolated_vertex_graphs_are_skipped():
     from grundytd import Graph
 
-    check = REGISTRY["bound-chain"]
     lonely = Graph.from_edges(3, [(0, 1)])
-    result = check.run([lonely])
+    [result] = run_checks(["bound-chain"], [lonely], "graphs")
     assert result.tested == 0
+
+
+# ---------- sweeps through the one runner ----------
+
+
+def _sweep_json(capsys, argv):
+    code = cli.main(["sweep", *argv, "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["passed"]
+    return {r["check"]: r["tested"] for r in doc["results"]}
+
+
+# tested counts measured before the checkers ran one instance at a time
+@pytest.mark.parametrize(
+    "argv, tested",
+    [
+        (["connected:6"], dict.fromkeys(SUITES["graphs"], 142)),
+        (
+            ["trees:12:100", "--suite", "trees", "--seed", "3"],
+            {"tree-matching-order": 100, "tree-lower-bound": 37},
+        ),
+        (["cubic:10", "--suite", "regular"], {"regular-construction": 26}),
+        (["hyper:100", "--seed", "4"], dict.fromkeys(SUITES["hypergraphs"], 100)),
+    ],
+)
+def test_sweep_tested_counts(capsys, argv, tested):
+    assert _sweep_json(capsys, argv) == tested
+
+
+def test_sweep_skips_graphs_with_an_isolated_vertex(capsys, tmp_path):
+    lonely = [Graph.from_edges(3, [(0, 1)]), Graph.from_edges(4, [(0, 1), (2, 3)])]
+    source = tmp_path / "mixed.g6"
+    source.write_text("\n".join(graph_to_graph6(g) for g in lonely + [petersen()]))
+    assert _sweep_json(capsys, [f"g6:{source}"]) == dict.fromkeys(SUITES["graphs"], 2)
+
+
+def test_sweep_computes_one_report_per_tested_graph(capsys, monkeypatch):
+    calls = {"compute_report": [], "max_cover_sequence": []}
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, **k: calls[name].append(a[0]) or real(*a, **k)
+        )
+
+    count(solver, "compute_report")
+    count(engine, "max_cover_sequence")
+    tested = _sweep_json(capsys, ["connected:5"])
+    assert set(tested.values()) == {30}
+    assert len(calls["compute_report"]) == 30 and len(set(calls["compute_report"])) == 30
+    # per graph: gamma_grt and gamma_gr in the shared report, then one search
+    # each inside interpolation_witnesses and on the neighbourhood hypergraph
+    assert len(calls["max_cover_sequence"]) == 4 * 30
+
+
+def test_regular_sweep_calls_no_invariant_solver(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an invariant solver ran")
+
+    monkeypatch.setattr(solver, "compute_report", refuse)
+    # every invariant solver runs one of these search kernels
+    for kernel in (
+        "min_cover",
+        "max_minimal_cover",
+        "game_cover_value",
+        "max_cover_sequence",
+        "sequence_of_length",
+        "max_matching",
+    ):
+        monkeypatch.setattr(engine, kernel, refuse)
+    assert _sweep_json(capsys, ["cubic:10", "--suite", "regular"]) == {
+        "regular-construction": 26
+    }

@@ -118,3 +118,44 @@ def test_hypergraph_text_oversized_ground_rejected():
 def test_hypergraph_text_edge_count_mismatch_rejected():
     with pytest.raises(ParseError):
         hypergraph_from_text("2 2\n0 1\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (hypergraph_from_text, "6  0", 1),  # no hyperedges
+        (hypergraph_from_text, "0 0", 1),  # empty ground set
+        (hypergraph_from_text, "3 1\n0\n", None),  # ground vertices 1 and 2 in no edge
+        (graph_from_edge_list, "0 0", 1),
+        (graph_from_edge_list, "# order\n-3 0", 2),
+    ],
+)
+def test_rejected_shapes_raise_parse_error(parse, text, line):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.line == line
+
+
+def _near_valid_text():
+    # a header and member lines of small, sometimes negative integers, so
+    # that most inputs get past the tokenizer into the shape checks
+    ints = st.lists(st.integers(min_value=-2, max_value=7), max_size=4)
+    return st.lists(ints, min_size=1, max_size=6).map(
+        lambda rows: "\n".join(" ".join(map(str, row)) for row in rows)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _near_valid_text(),
+        st.text(alphabet="0123456789 -#\n\tx~?", max_size=30),
+        st.text(max_size=12),
+    )
+)
+def test_malformed_text_raises_only_parse_error(text):
+    for parse in (graph_from_edge_list, hypergraph_from_text, graph_from_graph6):
+        try:
+            parse(text)
+        except ParseError:
+            pass

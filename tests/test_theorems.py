@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from grundytd import (
     DomainError,
     InvariantViolation,
@@ -11,6 +12,7 @@ from grundytd import (
     bound_report,
     build_family,
     complete_multipartite_parts,
+    compute_report,
     cycle,
     family_t_members,
     find_pair_labeling,
@@ -62,6 +64,16 @@ def test_labeling_witness_sequence_is_total_dominating():
     assert lab is not None
     assert is_total_dominating_sequence(path(6), lab.sequence)
     assert len(lab.sequence) == 6
+
+
+def test_pair_labeling_exists_iff_value_is_order(connected_upto_6):
+    # both directions of Thm 4.2, with the labeling found by exhaustive search
+    # over vertex orders rather than peeled from a solver witness
+    even = [g for g in connected_upto_6 if g.n % 2 == 0]
+    assert len(even) == 1 + 6 + 112
+    for g in even:
+        labeled = oracles.pair_labeling(g) is not None
+        assert labeled == (grundy_total_domination_number(g)[0] == g.n), g.adj
 
 
 def test_peeling_recovers_labeling_from_witness():
@@ -176,12 +188,12 @@ def test_certificates_replay_to_members():
 
 
 def test_bound_skips_trees_with_strong_support():
-    rep = tree_bound_report(star(3))
+    rep = tree_bound_report(star(3), compute_report(star(3)))
     assert not rep.applicable
 
 
 def test_p5_meets_bound_with_equality():
-    rep = tree_bound_report(path(5))
+    rep = tree_bound_report(path(5), compute_report(path(5)))
     assert rep.applicable
     assert rep.bound == Fraction(4)
     assert rep.gamma_grt == 4
@@ -190,7 +202,7 @@ def test_p5_meets_bound_with_equality():
 
 
 def test_p7_strict_above_bound():
-    rep = tree_bound_report(path(7))
+    rep = tree_bound_report(path(7), compute_report(path(7)))
     assert rep.applicable
     assert rep.bound == Fraction(16, 3)
     assert rep.gamma_grt == 6
@@ -201,7 +213,7 @@ def test_random_trees_obey_bound():
     rng = random.Random(20)
     for _ in range(60):
         t = random_tree(rng.randint(4, 12), rng)
-        rep = tree_bound_report(t)
+        rep = tree_bound_report(t, compute_report(t))
         if not rep.applicable:
             continue
         assert Fraction(rep.gamma_grt) >= rep.bound
@@ -249,11 +261,11 @@ def test_construction_bound_value():
 
 def test_bound_report_clean_on_small_connected(connected_upto_6):
     for g in connected_upto_6:
-        assert bound_report(g).violations == ()
+        assert bound_report(g, compute_report(g)).violations == ()
 
 
 def test_bound_report_names_the_checks():
-    rep = bound_report(petersen())
+    rep = bound_report(petersen(), compute_report(petersen()))
     names = {c.name for c in rep.checks}
     assert "gamma_t <= Gamma_t" in names
     assert "gamma_grt <= 2*gamma_gr" in names
@@ -264,6 +276,6 @@ def test_bound_report_names_the_checks():
 def test_balanced_bipartite_equality_case():
     # the only connected graphs hitting the n over max-degree floor
     g = k_kk(4)
-    rep = bound_report(g)
+    rep = bound_report(g, compute_report(g))
     assert rep.violations == ()
     assert grundy_total_domination_number(g)[0] == 2
