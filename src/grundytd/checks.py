@@ -1,27 +1,32 @@
 """Checkers: proven statements, each tested on one instance at a time.
 
-A checker is a predicate over one instance.  A graph checker receives the
-graph and its solver.InvariantReport and reads the values and witnesses it
-needs from that report; tree, regular and hypergraph checkers receive only
-the instance.  Each returns a CheckResult for that one instance: tested 1,
-or 0 when the statement does not apply, and at most one reparseable
-counterexample string, with graphs dumped as graph6 and hypergraphs as
-JSON {"n": ..., "edges": [[...], ...]}.  Checkers never raise on a
-violated statement; they report it.  Capacity problems do propagate, since
-they mean the instance was too big to decide.
+A checker is a predicate over one instance.  Every checker has the same
+shape, run(item, report, cap): it receives the instance and one
+solver.InvariantReport on it, and reads the values and witnesses it needs
+from that report.  Graph, tree and regular checkers read the graph
+invariants of solver.compute_report; hypergraph checkers read rho (edge
+cover number), rho_gr (covering number) and tau_gr (transversal number).
+Each returns a CheckResult for that one instance: tested 1, or 0 when the
+statement does not apply, and at most one reparseable counterexample
+string, with graphs dumped as graph6 and hypergraphs as JSON
+{"n": ..., "edges": [[...], ...]}.  Checkers never raise on a violated
+statement; they report it.  Capacity problems do propagate, since they
+mean the instance was too big to decide.
 
 run_checks is the one runner, used by both `verify` and `sweep`.  It
-walks the instances once.  For each graph without an isolated vertex (total
-domination is undefined there) it computes one report holding the union of
-the invariants the selected graph checkers declare, passes it to each of
-them and drops it before the next graph, then adds up the per-instance
-results of every checker.  A few results lie outside the seven invariants
-and stay with the checker that needs them, computed once: interpolation
-witnesses, pair labelings and hypergraph covering numbers.
+walks the instances once and skips graphs with an isolated vertex (total
+domination is undefined there).  For each remaining instance it computes
+one report holding the union of the invariants the selected checkers
+declare, none at all when they declare none, passes it to each of them and
+drops it before the next instance, then adds up the per-instance results
+of every checker.  A few results lie outside the report and stay with the
+checker that needs them, computed once: interpolation witnesses, pair
+labelings, the neighbourhood hypergraph's covering number and the
+incidence graph's value.
 
 Each checker registers itself under its stable CLI name and aliases,
-with the kind of input it expects and, for a graph checker, the invariants
-it reads; REGISTRY, TOKENS and SUITES are what the CLI looks up.
+with the kind of input it expects and the invariants it reads; REGISTRY,
+TOKENS and SUITES are what the CLI looks up.
 """
 
 from __future__ import annotations
@@ -107,7 +112,7 @@ class CheckDef:
     run: object
     kind: str  # graphs | trees | regular | hypergraphs
     aliases: tuple[str, ...] = field(default=())
-    keys: tuple[str, ...] = field(default=())  # invariants a graph checker reads
+    keys: tuple[str, ...] = field(default=())  # invariants the checker reads
 
 
 REGISTRY: dict[str, CheckDef] = {}
@@ -123,7 +128,7 @@ def _checker(name: str, kind: str, *aliases: str, keys=()):
     return register
 
 
-# -- graph checkers: (graph, report) -----------------------------------------
+# -- graph checkers ----------------------------------------------------------
 
 
 @_checker("bound-chain", "graphs", keys=solver.INVARIANT_KEYS)
@@ -187,11 +192,11 @@ def check_closed_ratio(g: Graph, rep: InvariantReport, cap=None) -> CheckResult:
     return _pass("closed-ratio")
 
 
-@_checker("graph-interpolation", "graphs", "cor8.1")
+@_checker("graph-interpolation", "graphs", "cor8.1", keys=("gamma_t", "gamma_grt"))
 def check_graph_interpolation(g: Graph, rep: InvariantReport, cap=None) -> CheckResult:
     """Every length between the minimum and the maximum is realized."""
     try:
-        solver.interpolation_witnesses(g, cap)
+        solver.interpolation_witnesses(g, rep, cap)
     except InvariantViolation as exc:
         return _fail("graph-interpolation", g, str(exc))
     return _pass("graph-interpolation")
@@ -213,12 +218,10 @@ def check_neighborhood_correspondence(
 # -- tree checkers -----------------------------------------------------------
 
 
-@_checker("tree-matching-order", "trees", "thm5.1")
-def check_tree_matching_order(t: Graph, cap=None) -> CheckResult:
+@_checker("tree-matching-order", "trees", "thm5.1", keys=("gamma_grt",))
+def check_tree_matching_order(t: Graph, rep: InvariantReport, cap=None) -> CheckResult:
     """Tree value equals order iff a perfect matching exists, with witness."""
-    if t.n < 2:
-        return _untested("tree-matching-order")
-    value, _ = solver.grundy_total_domination_number(t, cap)
+    value = rep.value("gamma_grt")
     pm = theorems.tree_perfect_matching(t)
     if (value == t.n) != (pm is not None):
         why = f"gamma_grt={value}, n={t.n}, matching={pm is not None}"
@@ -231,21 +234,19 @@ def check_tree_matching_order(t: Graph, cap=None) -> CheckResult:
     return _pass("tree-matching-order")
 
 
-@_checker("tree-lower-bound", "trees", "thm5.4")
-def check_tree_lower_bound(t: Graph, cap=None) -> CheckResult:
+@_checker("tree-lower-bound", "trees", "thm5.4", keys=("gamma_grt",))
+def check_tree_lower_bound(t: Graph, rep: InvariantReport, cap=None) -> CheckResult:
     """No strong support vertex forces value >= 2(n+1)/3; equality is the family."""
-    if t.n < 2:
+    tb = theorems.tree_bound_report(t, rep)
+    if not tb.applicable:
         return _untested("tree-lower-bound")
-    rep = theorems.tree_bound_report(t, solver.compute_report(t, ("gamma_grt",), cap))
-    if not rep.applicable:
-        return _untested("tree-lower-bound")
-    if not rep.meets_bound:
-        why = f"gamma_grt={rep.gamma_grt} below bound {rep.bound}"
+    if not tb.meets_bound:
+        why = f"gamma_grt={tb.gamma_grt} below bound {tb.bound}"
         return _fail("tree-lower-bound", t, why)
-    # the report already holds the family certificate when equality holds
-    cert = rep.certificate if rep.equality else theorems.is_in_family_t(t)
-    if rep.equality != (cert is not None):
-        why = f"equality={rep.equality} but family membership={cert is not None}"
+    # the bound report already holds the family certificate when equality holds
+    cert = tb.certificate if tb.equality else theorems.is_in_family_t(t)
+    if tb.equality != (cert is not None):
+        why = f"equality={tb.equality} but family membership={cert is not None}"
         return _fail("tree-lower-bound", t, why)
     if cert is not None and t.n % 3 != 2:
         return _fail("tree-lower-bound", t, "family member with order not 2 mod 3")
@@ -256,7 +257,7 @@ def check_tree_lower_bound(t: Graph, cap=None) -> CheckResult:
 
 
 @_checker("regular-construction", "regular", "thm6.2")
-def check_regular_construction(g: Graph, cap=None) -> CheckResult:
+def check_regular_construction(g: Graph, rep=None, cap=None) -> CheckResult:
     """Greedy construction reaches the proven length on every regular input."""
     st = structural_report(g)
     k = st.regular_degree
@@ -276,28 +277,47 @@ def check_regular_construction(g: Graph, cap=None) -> CheckResult:
 
 # -- hypergraph checkers -----------------------------------------------------
 
+HYPERGRAPH_KEYS = ("rho", "rho_gr", "tau_gr")
 
-@_checker("cover-transversal", "hypergraphs", "prop8.2")
-def check_cover_transversal(h: Hypergraph, cap=None) -> CheckResult:
+
+def hypergraph_report(h: Hypergraph, keys=HYPERGRAPH_KEYS, cap=None) -> InvariantReport:
+    """The requested covering invariants of h, each with its witness.
+
+    rho is the edge cover number, rho_gr the covering number and tau_gr
+    the transversal number.  The solvers are looked up by name at each call.
+    """
+    results = {}
+    for key in keys:
+        if key == "rho":
+            solve = edge_cover_number
+        elif key == "rho_gr":
+            solve = grundy_covering_number
+        else:
+            solve = grundy_transversal_number
+        results[key] = solver.timed_result(key, solve, h, cap)
+    return InvariantReport(h.n_vertices, len(h.edges), results)
+
+
+@_checker("cover-transversal", "hypergraphs", "prop8.2", keys=("rho_gr", "tau_gr"))
+def check_cover_transversal(h: Hypergraph, rep: InvariantReport, cap=None) -> CheckResult:
     """Covering and transversal numbers agree; reversals preserve length."""
-    rho_gr, cov_wit = grundy_covering_number(h, cap)
-    tau_gr, tr_wit = grundy_transversal_number(h, cap)
+    rho_gr, tau_gr = rep.value("rho_gr"), rep.value("tau_gr")
     if rho_gr != tau_gr:
         return _fail("cover-transversal", h, f"rho_gr={rho_gr} != tau_gr={tau_gr}")
-    cov = transversal_to_covering(h, tr_wit)
+    cov = transversal_to_covering(h, rep.witness("tau_gr"))
     if len(cov) != tau_gr or not is_complete_covering_sequence(h, cov):
         why = "reversed transversal is not a full covering sequence"
         return _fail("cover-transversal", h, why)
-    tr = covering_to_transversal(h, cov_wit)
+    tr = covering_to_transversal(h, rep.witness("rho_gr"))
     if len(tr) != rho_gr or not is_complete_transversal_sequence(h, tr):
         return _fail("cover-transversal", h, "reversed covering is not a full transversal")
     return _pass("cover-transversal")
 
 
-@_checker("incidence-double", "hypergraphs", "thm8.3")
-def check_incidence_double(h: Hypergraph, cap=None) -> CheckResult:
+@_checker("incidence-double", "hypergraphs", "thm8.3", keys=("rho_gr",))
+def check_incidence_double(h: Hypergraph, rep: InvariantReport, cap=None) -> CheckResult:
     """Incidence graph value is exactly twice the covering number."""
-    rho_gr, _ = grundy_covering_number(h, cap)
+    rho_gr = rep.value("rho_gr")
     grt, _ = solver.grundy_total_domination_number(incidence_graph(h), cap)
     notes = (
         f"n={h.n_vertices} edges={len(h.edges)}: rho_gr={rho_gr}, "
@@ -308,12 +328,12 @@ def check_incidence_double(h: Hypergraph, cap=None) -> CheckResult:
     return _pass("incidence-double", notes)
 
 
-@_checker("covering-interpolation", "hypergraphs", "thm8.1")
-def check_covering_interpolation(h: Hypergraph, cap=None) -> CheckResult:
+@_checker("covering-interpolation", "hypergraphs", "thm8.1", keys=("rho", "rho_gr"))
+def check_covering_interpolation(
+    h: Hypergraph, rep: InvariantReport, cap=None
+) -> CheckResult:
     """Every length between minimum cover and covering number is realized."""
-    rho, _ = edge_cover_number(h, cap)
-    rho_gr, _ = grundy_covering_number(h, cap)
-    for length in range(rho, rho_gr + 1):
+    for length in range(rep.value("rho"), rep.value("rho_gr") + 1):
         if covering_sequence_of_length(h, length, cap) is None:
             why = f"no covering sequence of length {length}"
             return _fail("covering-interpolation", h, why)
@@ -327,9 +347,10 @@ def run_checks(names, items, item_kind: str, cap=None) -> list[CheckResult]:
     """Run the named checkers, in order, over items one instance at a time.
 
     item_kind says what the items are ('hypergraphs' or a graph kind); a
-    checker that expects the other sort is a usage error.  Graph checkers
-    share one report per graph, computed with only the invariants they
-    declare; the report is never kept past its graph.
+    checker that expects the other sort is a usage error.  Graphs with an
+    isolated vertex are skipped.  The checkers share one report per
+    instance, computed with only the invariants they declare; the report
+    is never kept past its instance.
     """
     defs = [REGISTRY[name] for name in names]
     for d in defs:
@@ -337,18 +358,20 @@ def run_checks(names, items, item_kind: str, cap=None) -> list[CheckResult]:
             raise GrundyTDError(
                 f"check {d.name!r} expects {d.kind} but the source provides {item_kind}"
             )
-    keys = [k for k in solver.INVARIANT_KEYS if any(k in d.keys for d in defs)]
-    on_graphs = any(d.kind == "graphs" for d in defs)
+    on_hypergraphs = item_kind == "hypergraphs"
+    known = HYPERGRAPH_KEYS if on_hypergraphs else solver.INVARIANT_KEYS
+    keys = [k for k in known if any(k in d.keys for d in defs)]
     tallies = [_Collector(d.name) for d in defs]
     for item in items:
+        if not on_hypergraphs and item.has_isolated_vertex():
+            continue
         rep = None
-        if on_graphs and not item.has_isolated_vertex():
+        if keys and on_hypergraphs:
+            rep = hypergraph_report(item, keys, cap)
+        elif keys:
             rep = solver.compute_report(item, keys, cap)
         for d, tally in zip(defs, tallies):
-            if d.kind != "graphs":
-                tally.add(d.run(item, cap))
-            elif rep is not None:
-                tally.add(d.run(item, rep, cap))
+            tally.add(d.run(item, rep, cap))
     return [tally.result() for tally in tallies]
 
 

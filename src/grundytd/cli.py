@@ -32,12 +32,7 @@ from .formats import (
     hypergraph_to_text,
 )
 from .graph import Graph, build_family
-from .hypergraph import (
-    Hypergraph,
-    edge_cover_number,
-    grundy_covering_number,
-    grundy_transversal_number,
-)
+from .hypergraph import Hypergraph
 from .smallgraphs import (
     connected_cubic_graphs,
     connected_graphs,
@@ -151,25 +146,18 @@ def cmd_compute(args) -> int:
         h = _load_hypergraph(args)
         if h is None:
             raise GrundyTDError("compute needs --family, --graph, or --hypergraph")
-        rho, cover = edge_cover_number(h, args.cap)
-        rho_gr, cov_wit = grundy_covering_number(h, args.cap)
-        tau_gr, tr_wit = grundy_transversal_number(h, args.cap)
-        payload = {
-            "n_vertices": h.n_vertices,
-            "n_edges": len(h.edges),
-            "rho": {"value": rho, "witness": list(cover)},
-            "rho_gr": {"value": rho_gr, "witness": list(cov_wit)},
-            "tau_gr": {"value": tau_gr, "witness": list(tr_wit)},
-        }
+        rep = checks.hypergraph_report(h, cap=args.cap)
+        payload = {"n_vertices": h.n_vertices, "n_edges": len(h.edges)}
+        for key, res in rep.results.items():
+            payload[key] = {"value": res.value, "witness": list(res.witness)}
         if args.json:
             json.dump(payload, sys.stdout, indent=2)
             print()
         else:
             print(f"n={h.n_vertices} hyperedges={len(h.edges)}")
-            for key in ("rho", "rho_gr", "tau_gr"):
-                rec = payload[key]
-                wit = " ".join(str(v) for v in rec["witness"])
-                print(f"  {key} = {rec['value']}   witness: {wit}")
+            for key, res in rep.results.items():
+                wit = " ".join(str(v) for v in res.witness)
+                print(f"  {key} = {res.value}   witness: {wit}")
         return 0
     keys = _invariant_keys(args)
     reports = [solver.compute_report(g, keys=keys, cap=args.cap) for g in graphs]
@@ -284,10 +272,7 @@ def cmd_generate(args) -> int:
         return 0
     if what.startswith("connected:") or what.startswith("cubic:"):
         kind, _, rest = what.partition(":")
-        try:
-            n = int(rest)
-        except ValueError:
-            raise GrundyTDError(f"bad enumeration spec {what!r}")
+        n = _source_number(what, rest, 0)
         graphs = connected_graphs(n) if kind == "connected" else connected_cubic_graphs(n)
         if limit is not None:
             graphs = graphs[:limit]
@@ -304,9 +289,9 @@ def _source_number(source: str, text: str, least: int, kind=int):
     try:
         value = kind(text)
     except ValueError:
-        raise GrundyTDError(f"bad sweep source {source!r}: {text!r} is not a number") from None
+        raise GrundyTDError(f"bad source {source!r}: {text!r} is not a number") from None
     if value < least:
-        raise GrundyTDError(f"bad sweep source {source!r}: {text} is below {least}")
+        raise GrundyTDError(f"bad source {source!r}: {text} is below {least}")
     return value
 
 
@@ -314,18 +299,15 @@ def _sweep_items(source: str, seed: int):
     """Returns (items, kind) where kind is 'graphs' or 'hypergraphs'."""
     head, _, rest = source.partition(":")
     rng = random.Random(seed)
+    # the top order is built first, so that one above the limit fails at once
     if head == "connected":
         n = _source_number(source, rest, 0)
-        items = []
-        for k in range(2, n + 1):
-            items.extend(connected_graphs(k))
-        return items, "graphs"
+        connected_graphs(n)
+        return [g for k in range(2, n + 1) for g in connected_graphs(k)], "graphs"
     if head == "cubic":
         n = _source_number(source, rest, 0)
-        items = []
-        for k in range(4, n + 1, 2):
-            items.extend(connected_cubic_graphs(k))
-        return items, "graphs"
+        connected_cubic_graphs(n)
+        return [g for k in range(4, n + 1, 2) for g in connected_cubic_graphs(k)], "graphs"
     if head == "trees":
         n_str, _, count_str = rest.partition(":")
         n = _source_number(source, n_str, 1)

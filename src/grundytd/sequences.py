@@ -147,35 +147,22 @@ class GreedyResult:
     complete: bool
 
 
-def greedy_extend(
-    g: Graph,
-    prefix=(),
-    mode: Mode = "open",
-    policy: str = "lexicographic",
-    restrict_to=None,
-    target=None,
-    touch_dominated: bool = False,
-) -> GreedyResult:
-    """Greedily extend a legal prefix until the target is dominated or stuck.
+def greedy_extend(g: Graph, prefix, restrict_to=None, target=None) -> GreedyResult:
+    """Greedily extend a legal open-neighborhood prefix until done or stuck.
 
-    policy picks among the legal candidates: "lexicographic" takes the
-    lowest id, "min_footprint"/"max_footprint" minimize/maximize the number
-    of newly dominated target vertices (ties to the lowest id).  restrict_to
-    limits which vertices may be appended; target limits which vertices must
-    end up dominated (each appended vertex must footprint at least one new
-    target vertex); touch_dominated additionally requires each appended
-    vertex to be adjacent to an already-dominated vertex.  Returns the full
-    sequence and whether the target is completely dominated; an exhausted
-    candidate pool short of completion reports complete=False rather than
-    raising.
+    Each appended vertex must be adjacent to an already dominated vertex
+    (so an empty prefix cannot grow) and footprint at least one new target
+    vertex; among those candidates the one footprinting the fewest new
+    target vertices wins, ties to the lowest id.  restrict_to limits which
+    vertices may be appended; target limits which vertices must end up
+    dominated (all by default).  Returns the full sequence and whether the
+    target is completely dominated; an exhausted candidate pool short of
+    completion reports complete=False rather than raising.
     """
-    if policy not in ("lexicographic", "min_footprint", "max_footprint"):
-        raise ParameterError(f"unknown policy {policy!r}")
-    masks = _masks(g, mode)
-    report = check_cover_sequence(masks, g.full_mask, prefix)
+    report = check_cover_sequence(g.adj, g.full_mask, prefix)
     if not report.legal:
         raise PreconditionError(
-            f"prefix is not a legal {mode}-neighborhood sequence "
+            "prefix is not a legal open-neighborhood sequence "
             f"(violation at position {report.first_violation})"
         )
 
@@ -202,25 +189,18 @@ def greedy_extend(
         best_v = -1
         best_score = 0
         for v in bits(pool_mask & ~used):
-            new_targets = masks[v] & ~dominated & target_mask
-            if not new_targets:
+            new_targets = g.adj[v] & ~dominated & target_mask
+            if not new_targets or not (g.adj[v] & dominated):
                 continue
-            if touch_dominated and not (g.adj[v] & dominated):
-                continue
-            if policy == "lexicographic":
-                best_v = v
-                break
             score = new_targets.bit_count()
-            if best_v < 0 or (
-                score < best_score if policy == "min_footprint" else score > best_score
-            ):
+            if best_v < 0 or score < best_score:
                 best_v = v
                 best_score = score
         if best_v < 0:
             return GreedyResult(tuple(seq), False)
         seq.append(best_v)
         used |= 1 << best_v
-        dominated |= masks[best_v]
+        dominated |= g.adj[best_v]
     return GreedyResult(tuple(seq), True)
 
 

@@ -25,7 +25,14 @@ from __future__ import annotations
 import itertools
 import random
 
+from .errors import CapacityError
 from .graph import Graph, bits
+
+# The largest orders the enumerations are allowed to build.  Order 9 has
+# 261,080 connected classes and took about 580 s; the 509 cubic graphs of
+# order 14 took about 490 s (2 shared vCPUs).  Higher orders were not run.
+MAX_CONNECTED_ORDER = 9
+MAX_CUBIC_ORDER = 14
 
 # -- canonical form ----------------------------------------------------------
 
@@ -130,6 +137,14 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 # -- exhaustive enumeration ----------------------------------------------------
 
+
+def _check_order(n: int, limit: int, what: str) -> None:
+    if n > limit:
+        raise CapacityError(
+            f"enumerating {what} graphs of order {n} is beyond the limit {limit}"
+        )
+
+
 _connected_cache: dict[int, list[Graph]] = {}
 
 
@@ -139,8 +154,10 @@ def connected_graphs(n: int) -> list[Graph]:
     Level augmentation: every connected graph on k vertices has a vertex
     whose removal leaves it connected, so attaching one new vertex with
     every nonempty neighborhood to every connected (k-1)-vertex graph and
-    deduplicating by canonical form reaches every class.
+    deduplicating by canonical form reaches every class.  Orders above
+    MAX_CONNECTED_ORDER raise CapacityError.
     """
+    _check_order(n, MAX_CONNECTED_ORDER, "connected")
     if n < 1:
         return []
     if n in _connected_cache:
@@ -180,8 +197,10 @@ def connected_cubic_graphs(n: int) -> list[Graph]:
     ids are always taken in increasing order, so each labeled graph is
     produced along exactly one path).  Branches whose component saturates
     before absorbing all n vertices cannot end connected and are cut.
-    Leaves are deduplicated by canonical form.
+    Leaves are deduplicated by canonical form.  Orders above
+    MAX_CUBIC_ORDER raise CapacityError.
     """
+    _check_order(n, MAX_CUBIC_ORDER, "cubic")
     if n < 4 or n % 2:
         return []
     if n in _cubic_cache:

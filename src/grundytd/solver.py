@@ -201,15 +201,15 @@ def total_dominating_sequence_of_length(g: Graph, length: int, cap: int | None =
     return tuple(seq)
 
 
-def interpolation_witnesses(g: Graph, cap: int | None = None):
+def interpolation_witnesses(g: Graph, rep: InvariantReport, cap: int | None = None):
     """One total dominating sequence for every achievable length.
 
-    Every length between gamma_t and gamma_grt inclusive has a witness; a
-    gap would contradict a proven interpolation property, so a missing
-    length raises InvariantViolation.
+    rep is a report on g holding gamma_t and gamma_grt.  Every length
+    between the two inclusive has a witness; a gap would contradict a
+    proven interpolation property, so a missing length raises
+    InvariantViolation.
     """
-    lo, _ = total_domination_number(g, cap)
-    hi, _ = grundy_total_domination_number(g, cap)
+    lo, hi = rep.value("gamma_t"), rep.value("gamma_grt")
     out: dict[int, tuple[int, ...]] = {}
     for length in range(lo, hi + 1):
         seq = total_dominating_sequence_of_length(g, length, cap)
@@ -263,6 +263,13 @@ class InvariantReport:
         return {"n": self.n, "edges": self.edge_count, "invariants": inv}
 
 
+def timed_result(key: str, solve, item, cap: int | None = None) -> InvariantResult:
+    """Run solve(item, cap), which returns (value, witness), and time it."""
+    t0 = time.perf_counter_ns()
+    value, witness = solve(item, cap)
+    return InvariantResult(key, value, witness, (time.perf_counter_ns() - t0) // 1000)
+
+
 def compute_report(g: Graph, keys=None, cap: int | None = None) -> InvariantReport:
     """Compute the requested invariants (all seven by default) with timings."""
     if keys is None:
@@ -272,10 +279,5 @@ def compute_report(g: Graph, keys=None, cap: int | None = None) -> InvariantRepo
         unknown = [k for k in keys if k not in _DISPATCH]
         if unknown:
             raise ParameterError(f"unknown invariants: {unknown}")
-    results: dict[str, InvariantResult] = {}
-    for key in keys:
-        t0 = time.perf_counter_ns()
-        value, witness = _DISPATCH[key](g, cap)
-        micros = (time.perf_counter_ns() - t0) // 1000
-        results[key] = InvariantResult(key, value, witness, micros)
+    results = {key: timed_result(key, _DISPATCH[key], g, cap) for key in keys}
     return InvariantReport(g.n, g.edge_count(), results)

@@ -433,7 +433,6 @@ class RegularConstruction:
     bipartite: bool
     bound: Fraction
     meets_bound: bool
-    seeds: tuple[tuple[int, int], ...]
 
 
 def _seed_pair(g: Graph, pool) -> tuple[int, int]:
@@ -478,40 +477,19 @@ def regular_greedy_sequence(g: Graph) -> RegularConstruction:
         raise DomainError("balanced complete bipartite graphs are excluded")
 
     if not st.bipartite:
-        seed = _seed_pair(g, range(g.n))
-        res = greedy_extend(
-            g, seed, policy="min_footprint", touch_dominated=True
-        )
+        res = greedy_extend(g, _seed_pair(g, range(g.n)))
         if not res.complete:
             raise InvariantViolation("extension stalled on a non-bipartite input")
         seq = res.sequence
         bound = Fraction(g.n + (k + 1) // 2 - 2, k - 1)
-        seeds = (seed,)
     else:
         side_a, side_b = st.bipartition
-        seed_a = _seed_pair(g, side_a)
-        part_a = greedy_extend(
-            g,
-            seed_a,
-            policy="min_footprint",
-            restrict_to=side_a,
-            target=side_b,
-            touch_dominated=True,
-        )
-        seed_b = _seed_pair(g, side_b)
-        part_b = greedy_extend(
-            g,
-            seed_b,
-            policy="min_footprint",
-            restrict_to=side_b,
-            target=side_a,
-            touch_dominated=True,
-        )
+        part_a = greedy_extend(g, _seed_pair(g, side_a), restrict_to=side_a, target=side_b)
+        part_b = greedy_extend(g, _seed_pair(g, side_b), restrict_to=side_b, target=side_a)
         if not (part_a.complete and part_b.complete):
             raise InvariantViolation("one-sided extension stalled")
         seq = part_a.sequence + part_b.sequence
         bound = Fraction(g.n + 2 * ((k + 1) // 2) - 4, k - 1)
-        seeds = (seed_a, seed_b)
 
     if not is_total_dominating_sequence(g, seq):
         raise InvariantViolation("constructed sequence failed verification")
@@ -521,7 +499,6 @@ def regular_greedy_sequence(g: Graph) -> RegularConstruction:
         bipartite=st.bipartite,
         bound=bound,
         meets_bound=Fraction(len(seq)) >= bound,
-        seeds=seeds,
     )
 
 
@@ -531,15 +508,11 @@ def regular_greedy_sequence(g: Graph) -> RegularConstruction:
 @dataclass(frozen=True)
 class BoundCheck:
     name: str
-    lhs: object
-    rhs: object
     holds: bool
-    tight: bool
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    invariants: solver.InvariantReport
     checks: tuple[BoundCheck, ...]
 
     @property
@@ -557,8 +530,11 @@ def bound_report(g: Graph, rep: solver.InvariantReport) -> BoundReport:
     n = g.n
     checks: list[BoundCheck] = []
 
+    def check(name, holds):
+        checks.append(BoundCheck(name, holds))
+
     def le(name, lhs, rhs):
-        checks.append(BoundCheck(name, lhs, rhs, lhs <= rhs, lhs == rhs))
+        check(name, lhs <= rhs)
 
     le("gamma_t <= Gamma_t", v["gamma_t"], v["Gamma_t"])
     le("Gamma_t <= gamma_grt", v["Gamma_t"], v["gamma_grt"])
@@ -567,37 +543,22 @@ def bound_report(g: Graph, rep: solver.InvariantReport) -> BoundReport:
     nd = Fraction(n, g.max_degree())
     le("n/max_degree <= gamma_grt", nd, v["gamma_grt"])
     if st.connected:
-        checks.append(
-            BoundCheck(
-                "gamma_grt = n/max_degree only for balanced complete bipartite",
-                v["gamma_grt"],
-                nd,
-                v["gamma_grt"] != nd
-                or is_balanced_complete_bipartite(g, g.max_degree()),
-                v["gamma_grt"] == nd,
-            )
+        check(
+            "gamma_grt = n/max_degree only for balanced complete bipartite",
+            v["gamma_grt"] != nd or is_balanced_complete_bipartite(g, g.max_degree()),
         )
     le("gamma_grt <= n - min_degree + 1", v["gamma_grt"], n - g.min_degree() + 1)
     le("2*nu_s <= 2*nu_ss", 2 * v["nu_s"], 2 * v["nu_ss"])
     le("2*nu_ss <= gamma_grt", 2 * v["nu_ss"], v["gamma_grt"])
     le("gamma_grt <= 2*gamma_gr", v["gamma_grt"], 2 * v["gamma_gr"])
     both_three = v["gamma_t"] == 3 and v["gamma_grt"] == 3
-    checks.append(
-        BoundCheck("never gamma_t = gamma_grt = 3", v["gamma_t"], v["gamma_grt"], not both_three, False)
-    )
+    check("never gamma_t = gamma_grt = 3", not both_three)
     k = st.regular_degree
     if st.connected and k is not None and k >= 1:
         is_kkk = is_balanced_complete_bipartite(g, k)
         if k >= 3 and not is_kkk:
             le("regular: n/(k-1) <= gamma_grt", Fraction(n, k - 1), v["gamma_grt"])
             if k >= 5:
-                checks.append(
-                    BoundCheck(
-                        "regular: strict above n/(k-1) for k >= 5",
-                        Fraction(n, k - 1),
-                        v["gamma_grt"],
-                        Fraction(n, k - 1) < v["gamma_grt"],
-                        False,
-                    )
-                )
-    return BoundReport(rep, tuple(checks))
+                strict = Fraction(n, k - 1) < v["gamma_grt"]
+                check("regular: strict above n/(k-1) for k >= 5", strict)
+    return BoundReport(tuple(checks))

@@ -175,16 +175,14 @@ def upper_total_domination(g):
     return best
 
 
-def skew_zero_forcing_number(g):
-    """Z₋(G): the fewest initially black vertices that turn every vertex black.
+def _zero_forcing_number(g, mode):
+    """The fewest initially black vertices that turn every vertex black.
 
-    Skew forcing rule: any vertex, black or white, with exactly one white
-    neighbour turns that neighbour black.  Subsets are tried by increasing
-    size.  For graphs without isolated vertices gamma_grt = n - Z₋ (Brešar
-    et al., "Grundy dominating sequences and zero forcing sets", Discrete
-    Optim. 2017), a check that shares nothing with the cover-sequence search.
+    Forcing rule: any vertex, black or white, with exactly one white vertex
+    in its open or closed neighbourhood turns that vertex black.  Subsets
+    are tried by increasing size.
     """
-    hoods = neighborhoods(g, "open")
+    hoods = neighborhoods(g, mode)
 
     def forces_all(black):
         changed = True
@@ -201,6 +199,25 @@ def skew_zero_forcing_number(g):
         for combo in combinations(range(g.n), k):
             if forces_all(set(combo)):
                 return k
+
+
+def skew_zero_forcing_number(g):
+    """Z₋(G), zero forcing over open neighbourhoods (skew forcing).
+
+    For graphs without isolated vertices gamma_grt = n - Z₋ (Brešar et al.,
+    "Grundy dominating sequences and zero forcing sets", Discrete Optim.
+    2017), a check that shares nothing with the cover-sequence search.
+    """
+    return _zero_forcing_number(g, "open")
+
+
+def loop_zero_forcing_number(g):
+    """Z_ℓ(G), zero forcing over closed neighbourhoods (every vertex looped).
+
+    gamma_gr = n - Z_ℓ (Lin, "Zero forcing number, Grundy domination
+    number, and their variants", Linear Algebra Appl. 2019).
+    """
+    return _zero_forcing_number(g, "closed")
 
 
 def pair_labeling(g):

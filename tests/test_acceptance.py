@@ -175,6 +175,7 @@ def test_criterion_5_random_trees():
             t = random_tree(n, rng)
             value = grundy_total_domination_number(t)[0]
             ok &= value == n - oracles.skew_zero_forcing_number(t)
+            ok &= grundy_domination_number(t)[0] == n - oracles.loop_zero_forcing_number(t)
             matching = tree_perfect_matching(t)
             ok &= (value == n) == (matching is not None)
             if matching is not None:
@@ -242,9 +243,9 @@ def test_criterion_8_interpolation():
     ok = True
     for n in range(2, 8):
         for g in corpus(n):
-            wits = interpolation_witnesses(g)
             low = total_domination_number(g)[0]
             high = grundy_total_domination_number(g)[0]
+            wits = interpolation_witnesses(g, compute_report(g, ("gamma_t", "gamma_grt")))
             ok &= sorted(wits) == list(range(low, high + 1))
             for length, seq in wits.items():
                 ok &= len(seq) == length and is_total_dominating_sequence(g, seq)
@@ -267,6 +268,8 @@ def test_criterion_9_oracle_equivalence():
             value = grundy_total_domination_number(g)[0]
             ok &= value == oracles.longest_sequence(g, "open")[0]
             ok &= value == n - oracles.skew_zero_forcing_number(g)
-            ok &= grundy_domination_number(g)[0] == oracles.longest_sequence(g, "closed")[0]
+            closed = grundy_domination_number(g)[0]
+            ok &= closed == oracles.longest_sequence(g, "closed")[0]
+            ok &= closed == n - oracles.loop_zero_forcing_number(g)
             ok &= game_total_domination_number(g)[0] == oracles.game_value(g)
-    announce(9, "memoized solvers match exhaustive DFS and n - Z₋ to order 7", ok)
+    announce(9, "memoized solvers match exhaustive DFS, n - Z₋ and n - Z_ℓ to order 7", ok)

@@ -121,23 +121,47 @@ def test_sweep_skips_graphs_with_an_isolated_vertex(capsys, tmp_path):
     assert _sweep_json(capsys, [f"g6:{source}"]) == dict.fromkeys(SUITES["graphs"], 2)
 
 
-def test_sweep_computes_one_report_per_tested_graph(capsys, monkeypatch):
-    calls = {"compute_report": [], "max_cover_sequence": []}
+def _count_calls(monkeypatch, module, *names):
+    calls = {name: [] for name in names}
 
-    def count(module, name):
+    def count(name):
         real = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *a, **k: calls[name].append(a[0]) or real(*a, **k)
         )
 
-    count(solver, "compute_report")
-    count(engine, "max_cover_sequence")
+    for name in names:
+        count(name)
+    return calls
+
+
+def test_sweep_computes_one_report_per_tested_graph(capsys, monkeypatch):
+    reports = _count_calls(monkeypatch, solver, "compute_report")["compute_report"]
+    kernels = _count_calls(monkeypatch, engine, "max_cover_sequence", "min_cover")
     tested = _sweep_json(capsys, ["connected:5"])
     assert set(tested.values()) == {30}
-    assert len(calls["compute_report"]) == 30 and len(set(calls["compute_report"])) == 30
-    # per graph: gamma_grt and gamma_gr in the shared report, then one search
-    # each inside interpolation_witnesses and on the neighbourhood hypergraph
-    assert len(calls["max_cover_sequence"]) == 4 * 30
+    assert len(reports) == 30 and len(set(reports)) == 30
+    # per graph: gamma_t, gamma_grt and gamma_gr in the shared report, then
+    # one search on the neighbourhood hypergraph; nothing is solved twice
+    assert len(kernels["max_cover_sequence"]) == 3 * 30
+    assert len(kernels["min_cover"]) == 30
+
+
+def test_tree_sweep_solves_each_tree_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, engine, "max_cover_sequence")
+    tested = _sweep_json(capsys, ["trees:9:40", "--suite", "trees", "--seed", "5"])
+    assert tested["tree-matching-order"] == 40
+    assert len(calls["max_cover_sequence"]) == 40
+
+
+def test_hypergraph_sweep_solves_each_invariant_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, engine, "max_cover_sequence", "min_cover")
+    assert _sweep_json(capsys, ["hyper:40", "--seed", "6"]) == dict.fromkeys(
+        SUITES["hypergraphs"], 40
+    )
+    # rho_gr, tau_gr and the incidence graph's gamma_grt; rho once
+    assert len(calls["max_cover_sequence"]) == 3 * 40
+    assert len(calls["min_cover"]) == 40
 
 
 def test_regular_sweep_calls_no_invariant_solver(capsys, monkeypatch):

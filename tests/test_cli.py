@@ -218,6 +218,28 @@ def test_malformed_sweep_source_is_usage_error(capsys, source):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("source", ["connected:-1", "cubic:-4", "cubic:x"])
+def test_malformed_generate_enumeration_is_usage_error(capsys, source):
+    code, out, err = run(capsys, "generate", source)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad source")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "cubic:100000"),
+        ("generate", "connected:10"),
+        ("sweep", "connected:3000"),
+        ("sweep", "cubic:16", "--suite", "regular"),
+    ],
+)
+def test_enumeration_above_its_limit_is_capacity_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "beyond the limit" in err
+
+
 def test_sweep_kind_mismatch_usage_error(capsys):
     code, _, err = run(capsys, "sweep", "hyper:10", "--checks", "thm4.2")
     assert code == 2

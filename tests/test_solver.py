@@ -69,8 +69,12 @@ def test_two_disjoint_edges_strong_matching():
     assert strong_matching_number(g)[0] == 2
 
 
+def _interpolation(g):
+    return interpolation_witnesses(g, compute_report(g, ("gamma_t", "gamma_grt")))
+
+
 def test_p5_interpolation_lengths():
-    wits = interpolation_witnesses(path(5))
+    wits = _interpolation(path(5))
     assert sorted(wits) == [3, 4]
     for length, seq in wits.items():
         assert len(seq) == length
@@ -78,7 +82,7 @@ def test_p5_interpolation_lengths():
 
 
 def test_c6_interpolation_single_length():
-    assert sorted(interpolation_witnesses(cycle(6))) == [4]
+    assert sorted(_interpolation(cycle(6))) == [4]
 
 
 def test_sequence_of_exact_length():

@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         (
             ["sweep", "connected:4", "--json"],
-            {"sequences.recheck", "solver.grundy_total_domination_number",
+            {"sequences.recheck", "solver.interpolation_witnesses",
              "hypergraph.grundy_covering_number", "checks.graph-interpolation"},
         ),
         (
