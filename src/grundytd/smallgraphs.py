@@ -7,6 +7,10 @@ individualization: refine the coloring to a fixed point, split the first
 non-singleton color class on each of its vertices in turn, and take the
 minimum adjacency bitstring over the discrete leaves.
 
+Refinement ranks the vertices by one integer each instead of a sorted
+tuple of neighbour colours; _refine states the precondition under which
+the ranks are the same.
+
 The search is pruned by automorphisms (the orbit pruning of McKay and
 Piperno, "Practical graph isomorphism, II", 2014).  Two leaves with the
 same bitstring give an automorphism: the map from the first leaf's vertex
@@ -16,8 +20,13 @@ pointwise maps an already searched sibling onto it.  Refinement, the cell
 choice and the leaf encoding all commute with automorphisms, so the
 skipped subtree is an image of a searched one with the same bitstrings and
 the minimum, hence the certificate, is exactly that of the full search
-(tests/oracles.py keeps the full search as the reference).  The
-enumeration counts are pinned to published values in the tests.
+(tests/oracles.py keeps the full search as the reference).
+
+connected_graphs skips most duplicate children before canonicalizing them,
+by an edge-count rule and by the parent's automorphisms (see its
+docstring); its output is that of trying every child, which
+tests/oracles.py keeps as the reference.  The enumeration counts are
+pinned to published values in the tests.
 """
 
 from __future__ import annotations
@@ -38,9 +47,24 @@ MAX_CUBIC_ORDER = 14
 
 
 def _refine(nbrs: list[list[int]], n: int, colors: list[int]) -> list[int]:
+    # Precondition: every colour class of the input has one degree.  The
+    # root starts from degree ranks, and individualizing a vertex of a
+    # refined colouring keeps it.  Two vertices of a class then have
+    # neighbour-colour multisets of equal size, whose sorted tuples compare
+    # like their colour counts, lowest colour first, the larger count giving
+    # the smaller tuple.  Counts are below base, so -sum(base**(top - c_u))
+    # orders them the same way, and (c + 1) * span - sum orders by own colour
+    # first.  Colour -1 (an individualized vertex) reads the last, largest
+    # weight.
+    base = n + 1
     while True:
-        color = colors.__getitem__
-        sigs = [(colors[v], tuple(sorted(map(color, nbrs[v])))) for v in range(n)]
+        top = max(colors)
+        weights = [base ** (top - c) for c in range(top + 1)]
+        weights.append(base ** (top + 1))
+        span = base ** (top + 2)
+        w = [weights[c] for c in colors]
+        w_at = w.__getitem__
+        sigs = [(colors[v] + 1) * span - sum(map(w_at, nbrs[v])) for v in range(n)]
         remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [remap[s] for s in sigs]
         if new == colors:
@@ -55,10 +79,8 @@ def _root(parent: list[int], x: int) -> int:
     return x
 
 
-def canonical_form(adj, n: int) -> bytes:
-    """Isomorphism-invariant certificate of a graph given as bitmask rows."""
-    if n == 1:
-        return (1).to_bytes(2, "big")
+def _search(adj, n: int) -> tuple[int, list[list[int]]]:
+    """Smallest leaf adjacency integer and the automorphisms met on the way."""
     nbrs = [list(bits(adj[v])) for v in range(n)]
     best: int | None = None
     leaves: dict[int, list[int]] = {}  # adjacency integer -> first order giving it
@@ -85,17 +107,13 @@ def canonical_form(adj, n: int) -> bytes:
 
     def search(colors: list[int], prefix: list[int]):
         colors = _refine(nbrs, n, colors)
-        cell = None
+        if max(colors) == n - 1:  # colours are ranks 0..k-1: discrete
+            leaf(colors)
+            return
         by_color: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             by_color.setdefault(c, []).append(v)
-        for c in range(len(by_color)):
-            if len(by_color[c]) > 1:
-                cell = by_color[c]
-                break
-        if cell is None:
-            leaf(colors)
-            return
+        cell = next(by_color[c] for c in range(len(by_color)) if len(by_color[c]) > 1)
         # Orbits of the automorphisms found so far that fix the prefix
         # pointwise, kept as a union-find; such an automorphism maps the
         # subtree of v onto the subtree of its image with equal leaf integers,
@@ -122,7 +140,18 @@ def canonical_form(adj, n: int) -> bytes:
             search(branched, prefix)
             prefix.pop()
 
-    search([0] * n, [])
+    # The first refinement pass from one colour ranks vertices by degree.
+    degrees = [len(row) for row in nbrs]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    search([rank[d] for d in degrees], [])
+    return best, autos
+
+
+def canonical_form(adj, n: int) -> bytes:
+    """Isomorphism-invariant certificate of a graph given as bitmask rows."""
+    if n == 1:
+        return (1).to_bytes(2, "big")
+    best, _ = _search(adj, n)
     nbytes = max(1, (n * (n - 1) // 2 + 7) // 8)
     return n.to_bytes(2, "big") + best.to_bytes(nbytes, "big")
 
@@ -148,14 +177,81 @@ def _check_order(n: int, limit: int, what: str) -> None:
 _connected_cache: dict[int, list[Graph]] = {}
 
 
+def _components_without(rows, n: int, v: int) -> list[int]:
+    """Vertex masks of the components of the graph minus vertex v."""
+    rest = ((1 << n) - 1) & ~(1 << v)
+    comps = []
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            nxt = 0
+            for u in bits(frontier):
+                nxt |= rows[u]
+            frontier = nxt & rest & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
+def _neighborhood_representatives(parent: Graph) -> list[int]:
+    """Smallest nonempty neighbourhood mask in each orbit of found automorphisms."""
+    k = parent.n
+    masks = range(1, 1 << k)
+    _, autos = _search(parent.adj, k)
+    if not autos:
+        return list(masks)
+    images = []  # images[i][m]: mask m mapped by the i-th automorphism
+    for perm in autos:
+        image = [0] * (1 << k)
+        for m in masks:
+            low = m & -m
+            image[m] = image[m ^ low] | (1 << perm[low.bit_length() - 1])
+        images.append(image)
+    done = bytearray(1 << k)
+    reps = []
+    for nb in masks:
+        if done[nb]:
+            continue
+        reps.append(nb)
+        done[nb] = 1
+        stack = [nb]
+        while stack:
+            m = stack.pop()
+            for image in images:
+                to = image[m]
+                if not done[to]:
+                    done[to] = 1
+                    stack.append(to)
+    return reps
+
+
 def connected_graphs(n: int) -> list[Graph]:
     """All connected graphs of the given order, one per isomorphism class.
 
     Level augmentation: every connected graph on k vertices has a vertex
-    whose removal leaves it connected, so attaching one new vertex with
+    whose removal leaves it connected, so attaching one new vertex w with
     every nonempty neighborhood to every connected (k-1)-vertex graph and
-    deduplicating by canonical form reaches every class.  Orders above
-    MAX_CONNECTED_ORDER raise CapacityError.
+    deduplicating by canonical form reaches every class.  The result is
+    sorted by (edge count, rows), and each class keeps the first child in
+    parent order, then neighbourhood order, that reached it.
+
+    Two rules skip a child before its canonical form is computed.  Each
+    skips only children whose class an earlier child reached, so the result
+    is exactly that of trying every child.
+    - Degree rule: w has degree d.  If another vertex v has degree above d
+      and the child minus v is connected, the child minus v has fewer edges
+      than the parent, so its class is an earlier parent's in the sorted
+      list, and every class reachable from an earlier parent was already
+      seen (by induction on the parent index).  Ties go to the canonical
+      form.
+    - Orbit rule: an automorphism of the parent maps the child with
+      neighbourhood nb onto an isomorphic child, so only the smallest mask
+      of each orbit is tried; masks go up, so it comes first.  The orbits
+      are those of the automorphisms that the parent's canonical search
+      records, possibly of a subgroup, which only skips less.
+
+    Orders above MAX_CONNECTED_ORDER raise CapacityError.
     """
     _check_order(n, MAX_CONNECTED_ORDER, "connected")
     if n < 1:
@@ -167,14 +263,26 @@ def connected_graphs(n: int) -> list[Graph]:
     else:
         result = []
         seen: set[bytes] = set()
+        w = n - 1
         for parent in connected_graphs(n - 1):
             rows_base = [row for row in parent.adj]
-            for nb in range(1, 1 << (n - 1)):
+            degrees = [row.bit_count() for row in rows_base]
+            # components of the parent minus v, to tell whether child minus v
+            # is connected: w must reach each of them
+            splits = [(v, _components_without(rows_base, w, v)) for v in range(w)]
+            for nb in _neighborhood_representatives(parent):
+                d = nb.bit_count()
+                if any(
+                    degrees[v] + ((nb >> v) & 1) > d
+                    and all(nb & comp for comp in comps)
+                    for v, comps in splits
+                ):
+                    continue
                 rows = rows_base + [nb]
                 m = nb
                 while m:
                     low = m & -m
-                    rows[low.bit_length() - 1] |= 1 << (n - 1)
+                    rows[low.bit_length() - 1] |= 1 << w
                     m ^= low
                 cert = canonical_form(rows, n)
                 if cert not in seen:

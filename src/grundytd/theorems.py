@@ -26,7 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import solver
-from .errors import DomainError, InvariantViolation, ParameterError, PreconditionError
+from .errors import (
+    CapacityError,
+    DomainError,
+    InvariantViolation,
+    ParameterError,
+    PreconditionError,
+)
 from .graph import Graph, StructuralReport, bits, induced_subgraph, structural_report
 from .sequences import check_legal, greedy_extend, is_total_dominating_sequence
 from .smallgraphs import canonical_form
@@ -276,11 +282,26 @@ def replay_family_t_certificate(cert: FamilyTCertificate) -> Graph:
     return Graph.from_edges(cert.n, edges)
 
 
+# The largest order family_t_members is allowed to build.  Each order
+# builds the one three below it first and takes about 2.8 times as long:
+# order 44 (7,741 members) took 210 s and order 47 (19,320 members) 634 s,
+# about 960 s and 91 MB in all from order 2 (2 shared vCPUs).  Higher orders
+# were not run; far above them the recursion would overflow the stack.
+MAX_FAMILY_T_ORDER = 47
+
 _family_t_cache: dict[int, list[tuple[Graph, FamilyTCertificate]]] = {}
 
 
 def family_t_members(n: int) -> list[tuple[Graph, FamilyTCertificate]]:
-    """All family members of the given order, one per isomorphism class."""
+    """All family members of the given order, one per isomorphism class.
+
+    Orders above MAX_FAMILY_T_ORDER raise CapacityError.
+    """
+    if n > MAX_FAMILY_T_ORDER:
+        raise CapacityError(
+            f"enumerating family T graphs of order {n} is beyond the limit "
+            f"{MAX_FAMILY_T_ORDER}"
+        )
     if n < 2 or n % 3 != 2:
         return []
     if n in _family_t_cache:

@@ -9,7 +9,8 @@ to sweep.
 from itertools import combinations, permutations
 
 from grundytd.engine import _check_coverable
-from grundytd.graph import bits
+from grundytd.graph import Graph, bits
+from grundytd.smallgraphs import canonical_form
 
 
 def neighborhoods(g, mode):
@@ -418,6 +419,44 @@ def canonical_form_unpruned(adj, n):
     search([0] * n)
     nbytes = max(1, (n * (n - 1) // 2 + 7) // 8)
     return n.to_bytes(2, "big") + best.to_bytes(nbytes, "big")
+
+
+_reference_cache = {}
+
+
+def connected_graphs_reference(n):
+    """Connected graphs of order n by trying every child, before pruning.
+
+    A verbatim copy of smallgraphs.connected_graphs before it skipped
+    children: every nonempty neighbourhood of a new vertex is tried on every
+    parent and deduplicated by canonical form, so the pruned generator must
+    return exactly this list.
+    """
+    if n < 1:
+        return []
+    if n in _reference_cache:
+        return _reference_cache[n]
+    if n == 1:
+        result = [Graph(1, (0,))]
+    else:
+        result = []
+        seen = set()
+        for parent in connected_graphs_reference(n - 1):
+            rows_base = [row for row in parent.adj]
+            for nb in range(1, 1 << (n - 1)):
+                rows = rows_base + [nb]
+                m = nb
+                while m:
+                    low = m & -m
+                    rows[low.bit_length() - 1] |= 1 << (n - 1)
+                    m ^= low
+                cert = canonical_form(rows, n)
+                if cert not in seen:
+                    seen.add(cert)
+                    result.append(Graph(n, tuple(rows)))
+        result.sort(key=lambda g: (g.edge_count(), g.adj))
+    _reference_cache[n] = result
+    return result
 
 
 # Verbatim copies of the longest-sequence and game kernels before they were

@@ -240,6 +240,13 @@ def test_enumeration_above_its_limit_is_capacity_error(capsys, argv):
     assert "beyond the limit" in err
 
 
+def test_family_t_above_its_limit_is_capacity_error(capsys):
+    code, out, err = run(capsys, "generate", "familyT", "--n", "100001")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "beyond the limit" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_kind_mismatch_usage_error(capsys):
     code, _, err = run(capsys, "sweep", "hyper:10", "--checks", "thm4.2")
     assert code == 2

@@ -19,6 +19,7 @@ from grundytd import (
     random_tree,
     structural_report,
 )
+from grundytd import smallgraphs
 from grundytd.smallgraphs import canonical_form
 
 
@@ -29,6 +30,33 @@ def test_connected_counts_small():
 @pytest.mark.slow
 def test_connected_count_order_eight():
     assert len(connected_graphs(8)) == 11117
+
+
+def test_connected_graphs_match_reference_generator():
+    for n in range(1, 8):
+        assert connected_graphs(n) == oracles.connected_graphs_reference(n)
+
+
+@pytest.mark.slow
+def test_connected_graphs_match_reference_generator_order_eight():
+    assert connected_graphs(8) == oracles.connected_graphs_reference(8)
+
+
+def test_connected_graphs_skip_most_children_before_canonicalizing(monkeypatch):
+    # trying every child made 7,815 canonical_form calls up to order 7
+    calls = []
+    canonical = smallgraphs.canonical_form
+
+    def counting(adj, n):
+        cert = canonical(adj, n)
+        calls.append(cert)
+        return cert
+
+    monkeypatch.setattr(smallgraphs, "_connected_cache", {})
+    monkeypatch.setattr(smallgraphs, "canonical_form", counting)
+    smallgraphs.connected_graphs(7)
+    assert len(set(calls)) == 995
+    assert len(calls) <= 1400
 
 
 def test_cubic_counts():
@@ -104,6 +132,13 @@ def test_canonical_form_matches_unpruned_search_on_symmetric_graphs():
     for g in graphs:
         h = _relabeled(g, rng)
         assert canonical_form(h.adj, g.n) == oracles.canonical_form_unpruned(h.adj, g.n)
+
+
+def test_canonical_form_matches_unpruned_search_on_mixed_degree_graphs():
+    rng = random.Random(15)
+    for i in range(200):
+        g = random_connected_graph(rng.randint(8, 12), (0.1, 0.2, 0.3, 0.5)[i % 4], rng)
+        assert canonical_form(g.adj, g.n) == oracles.canonical_form_unpruned(g.adj, g.n)
 
 
 def test_canonical_form_of_complete_graph():
