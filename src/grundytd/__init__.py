@@ -69,6 +69,7 @@ from .smallgraphs import (
     are_isomorphic,
     connected_cubic_graphs,
     connected_graphs,
+    connected_regular_graphs,
     graph_canonical_form,
     random_connected_graph,
     random_hypergraph,

@@ -2,10 +2,10 @@
 
 The sweeps need every connected graph up to order 8 and every connected
 cubic graph up to order 12, one representative per isomorphism class.
-Isomorph rejection uses a canonical form computed by color refinement plus
-individualization: refine the coloring to a fixed point, split the first
-non-singleton color class on each of its vertices in turn, and take the
-minimum adjacency bitstring over the discrete leaves.
+Isomorph rejection in connected_graphs uses a canonical form computed by
+color refinement plus individualization: refine the coloring to a fixed
+point, split the first non-singleton color class on each of its vertices in
+turn, and take the minimum adjacency bitstring over the discrete leaves.
 
 Refinement ranks the vertices by one integer each instead of a sorted
 tuple of neighbour colours; _refine states the precondition under which
@@ -25,8 +25,20 @@ the minimum, hence the certificate, is exactly that of the full search
 connected_graphs skips most duplicate children before canonicalizing them,
 by an edge-count rule and by the parent's automorphisms (see its
 docstring); its output is that of trying every child, which
-tests/oracles.py keeps as the reference.  The enumeration counts are
-pinned to published values in the tests.
+tests/oracles.py keeps as the reference.
+
+connected_regular_graphs is orderly (Meringer, "Fast generation of regular
+graphs", J. Graph Theory 30, 1999): computing no canonical form, its DFS
+keeps the first leaf of each class, the one that deduplicating by canonical
+form kept (tests/oracles.py keeps that generator as the reference).  Why:
+- A leaf is determined by its choice sequence: for each vertex in label
+  order, (number of fresh neighbours, sorted tuple of the higher neighbours
+  already touched); a vertex saturated before its turn has (0, ()).
+- The DFS visits leaves in lexicographic order of these sequences.
+- The leaves isomorphic to G are exactly G's BFS relabelings: any root,
+  each vertex's newly found neighbours taking the next labels in any order.
+So a leaf is kept iff no BFS relabeling has a smaller choice sequence.
+The enumeration counts are pinned to published values in the tests.
 """
 
 from __future__ import annotations
@@ -37,11 +49,12 @@ import random
 from .errors import CapacityError
 from .graph import Graph, bits
 
-# The largest orders the enumerations are allowed to build.  Order 9 has
-# 261,080 connected classes and took about 580 s; the 509 cubic graphs of
-# order 14 took about 490 s (2 shared vCPUs).  Higher orders were not run.
+# The largest orders the enumerations may build (2 shared vCPUs): connected
+# order 9 (261,080 classes) took about 580 s, cubic order 14 (509) takes
+# about 1 s, quartic and quintic order 10 (59 and 60) under 0.5 s each.
 MAX_CONNECTED_ORDER = 9
 MAX_CUBIC_ORDER = 14
+MAX_REGULAR_ORDER = 10
 
 # -- canonical form ----------------------------------------------------------
 
@@ -144,7 +157,11 @@ def _search(adj, n: int) -> tuple[int, list[list[int]]]:
     degrees = [len(row) for row in nbrs]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
     search([rank[d] for d in degrees], [])
+    _last_search[:] = adj, autos
     return best, autos
+
+
+_last_search: list = [None, []]  # the row list and autos of the latest _search
 
 
 def canonical_form(adj, n: int) -> bytes:
@@ -174,7 +191,7 @@ def _check_order(n: int, limit: int, what: str) -> None:
         )
 
 
-_connected_cache: dict[int, list[Graph]] = {}
+_connected_cache: dict[int, tuple[list[Graph], list[tuple]]] = {}  # graphs, autos
 
 
 def _components_without(rows, n: int, v: int) -> list[int]:
@@ -194,11 +211,9 @@ def _components_without(rows, n: int, v: int) -> list[int]:
     return comps
 
 
-def _neighborhood_representatives(parent: Graph) -> list[int]:
-    """Smallest nonempty neighbourhood mask in each orbit of found automorphisms."""
-    k = parent.n
+def _neighborhood_representatives(k: int, autos) -> list[int]:
+    """Smallest nonempty mask on k vertices in each orbit of the automorphisms."""
     masks = range(1, 1 << k)
-    _, autos = _search(parent.adj, k)
     if not autos:
         return list(masks)
     images = []  # images[i][m]: mask m mapped by the i-th automorphism
@@ -249,7 +264,7 @@ def connected_graphs(n: int) -> list[Graph]:
       neighbourhood nb onto an isomorphic child, so only the smallest mask
       of each orbit is tried; masks go up, so it comes first.  The orbits
       are those of the automorphisms that the parent's canonical search
-      records, possibly of a subgroup, which only skips less.
+      recorded when it was a child (maybe a subgroup: it only skips less).
 
     Orders above MAX_CONNECTED_ORDER raise CapacityError.
     """
@@ -257,20 +272,21 @@ def connected_graphs(n: int) -> list[Graph]:
     if n < 1:
         return []
     if n in _connected_cache:
-        return _connected_cache[n]
+        return _connected_cache[n][0]
     if n == 1:
-        result = [Graph(1, (0,))]
+        level = [(Graph(1, (0,)), ())]
     else:
-        result = []
+        connected_graphs(n - 1)
+        level = []
         seen: set[bytes] = set()
         w = n - 1
-        for parent in connected_graphs(n - 1):
+        for parent, autos in zip(*_connected_cache[n - 1]):
             rows_base = [row for row in parent.adj]
             degrees = [row.bit_count() for row in rows_base]
             # components of the parent minus v, to tell whether child minus v
             # is connected: w must reach each of them
             splits = [(v, _components_without(rows_base, w, v)) for v in range(w)]
-            for nb in _neighborhood_representatives(parent):
+            for nb in _neighborhood_representatives(w, autos):
                 d = nb.bit_count()
                 if any(
                     degrees[v] + ((nb >> v) & 1) > d
@@ -287,93 +303,116 @@ def connected_graphs(n: int) -> list[Graph]:
                 cert = canonical_form(rows, n)
                 if cert not in seen:
                     seen.add(cert)
-                    result.append(Graph(n, tuple(rows)))
-        result.sort(key=lambda g: (g.edge_count(), g.adj))
-    _connected_cache[n] = result
+                    last, found = _last_search  # from canonical_form's search
+                    found = found if last is rows else _search(rows, n)[1]
+                    level.append((Graph(n, tuple(rows)), tuple(found)))
+        level.sort(key=lambda item: (item[0].edge_count(), item[0].adj))
+    _connected_cache[n] = ([g for g, _ in level], [a for _, a in level])
+    return _connected_cache[n][0]
+
+
+_regular_cache: dict[tuple[int, int], list[Graph]] = {}
+
+
+def _first_in_class(rows, n: int, k: int, done: int) -> bool:
+    """Whether no BFS relabeling has a smaller choice at some position < done.
+
+    Branch and bound on the vertex placed at each position.  Only vertices
+    of degree k are placed, so at an inner node a smaller choice rejects all
+    leaves below.  Labels given as a block stay cells (masks, in label order)
+    until a tie splits each cell into the placed vertex's neighbours first.
+    """
+    target = []  # the choices of rows itself: (fresh count, old label mask)
+    touched = 1
+    for u in range(done):
+        higher = rows[u] >> (u + 1) << (u + 1)
+        fresh = (higher >> touched).bit_count()
+        target.append((fresh, higher & ((1 << touched) - 1)))
+        touched += fresh
+    complete = sum(1 << v for v in range(n) if rows[v].bit_count() == k)
+
+    def smaller(j: int, labeled: int, cells: list[int]) -> bool:
+        if j >= done:
+            return False
+        head = cells[0]
+        want_fresh, want_old = target[j]
+        for v in bits(head & complete):
+            fresh = rows[v] & ~labeled
+            if fresh.bit_count() != want_fresh:
+                if fresh.bit_count() < want_fresh:
+                    return True
+                continue
+            old, pos, split = 0, j + 1, []
+            for cell in [head ^ (1 << v)] + cells[1:]:
+                inner = rows[v] & cell
+                if inner:
+                    old |= ((1 << inner.bit_count()) - 1) << pos
+                    split.append(inner)
+                if inner != cell:
+                    split.append(cell ^ inner)
+                pos += cell.bit_count()
+            if old != want_old:
+                diff = old ^ want_old
+                if old & diff & -diff:  # the lowest differing label is ours
+                    return True
+                continue
+            if fresh:
+                split.append(fresh)
+            if smaller(j + 1, labeled | fresh, split):
+                return True
+        return False
+
+    return not any(smaller(1, rows[r] | 1 << r, [rows[r]]) for r in bits(complete))
+
+
+def connected_regular_graphs(n: int, k: int) -> list[Graph]:
+    """All connected k-regular graphs of order n, one per isomorphism class.
+
+    Depth-first completion: finish the neighbourhood of the smallest vertex
+    u with degree < k by fresh vertices (the next unused ids) plus deficient
+    higher ones already introduced; fewer fresh first, then combinations in
+    order.  A node whose completed rows lose to a BFS relabeling is cut, and
+    a leaf that loses is dropped (see the module docstring).  Returns [] if
+    n * k is odd, k >= n or k < 0.  Orders above MAX_CUBIC_ORDER (k <= 3)
+    or MAX_REGULAR_ORDER (k > 3) raise CapacityError.
+    """
+    limit = MAX_CUBIC_ORDER if k <= 3 else MAX_REGULAR_ORDER
+    _check_order(n, limit, "cubic" if k == 3 else f"{k}-regular")
+    if k < 0 or k >= n or n * k % 2:
+        return []
+    if (n, k) in _regular_cache:
+        return _regular_cache[n, k]
+    result: list[Graph] = []
+
+    def finish(rows, touched: int):
+        # u == touched: every introduced vertex is saturated, which is a leaf
+        # if all n are introduced and a dead end (the rest unreachable) if not
+        deficient = sum(1 << v for v in range(touched) if rows[v].bit_count() < k)
+        u = (deficient & -deficient).bit_length() - 1 if deficient else touched
+        if u == touched < n or not _first_in_class(rows, n, k, u):
+            return
+        if u == n:
+            result.append(Graph(n, tuple(rows)))
+            return
+        missing = k - rows[u].bit_count()
+        olds = list(bits(deficient & ~rows[u] & -(2 << u)))
+        for fresh in range(min(missing, n - touched) + 1):
+            for chosen in itertools.combinations(olds, missing - fresh):
+                new_rows = list(rows)
+                for w in chosen + tuple(range(touched, touched + fresh)):
+                    new_rows[u] |= 1 << w
+                    new_rows[w] |= 1 << u
+                finish(new_rows, touched + fresh)
+
+    finish([0] * n, 1)
+    result.sort(key=lambda g: g.adj)
+    _regular_cache[n, k] = result
     return result
-
-
-_cubic_cache: dict[int, list[Graph]] = {}
 
 
 def connected_cubic_graphs(n: int) -> list[Graph]:
-    """All connected 3-regular graphs of the given (even) order.
-
-    Depth-first completion: repeatedly take the smallest vertex u with
-    degree < 3 and branch over every way to finish its neighborhood with
-    already-introduced deficient vertices plus a block of fresh ones (fresh
-    ids are always taken in increasing order, so each labeled graph is
-    produced along exactly one path).  Branches whose component saturates
-    before absorbing all n vertices cannot end connected and are cut.
-    Leaves are deduplicated by canonical form.  Orders above
-    MAX_CUBIC_ORDER raise CapacityError.
-    """
-    _check_order(n, MAX_CUBIC_ORDER, "cubic")
-    if n < 4 or n % 2:
-        return []
-    if n in _cubic_cache:
-        return _cubic_cache[n]
-
-    seen: set[bytes] = set()
-    result: list[Graph] = []
-
-    def component_saturated(rows, start) -> bool:
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= rows[v]
-            frontier = nxt & ~comp
-            comp |= nxt
-        return all(rows[v].bit_count() == 3 for v in bits(comp)) and (
-            comp.bit_count() < n
-        )
-
-    def finish(rows, touched: int):
-        u = -1
-        for v in range(touched):
-            if rows[v].bit_count() < 3:
-                u = v
-                break
-        if u < 0:
-            if touched < n:
-                return  # all introduced vertices saturated, rest unreachable
-            cert = canonical_form(rows, n)
-            if cert not in seen:
-                seen.add(cert)
-                result.append(Graph(n, tuple(rows)))
-            return
-        missing = 3 - rows[u].bit_count()
-        olds = [
-            w
-            for w in range(u + 1, touched)
-            if rows[w].bit_count() < 3 and not (rows[u] >> w) & 1
-        ]
-        for fresh in range(min(missing, n - touched) + 1):
-            take_old = missing - fresh
-            if take_old > len(olds):
-                continue
-            for chosen in itertools.combinations(olds, take_old):
-                new_rows = list(rows)
-                ok = True
-                for w in chosen:
-                    new_rows[u] |= 1 << w
-                    new_rows[w] |= 1 << u
-                for t in range(fresh):
-                    w = touched + t
-                    new_rows[u] |= 1 << w
-                    new_rows[w] |= 1 << u
-                if component_saturated(new_rows, u):
-                    ok = False
-                if ok:
-                    finish(new_rows, touched + fresh)
-
-    start = [0] * n
-    finish(start, 1)
-    result.sort(key=lambda g: g.adj)
-    _cubic_cache[n] = result
-    return result
+    """All connected cubic graphs of order n: connected_regular_graphs(n, 3)."""
+    return connected_regular_graphs(n, 3)
 
 
 # -- random instances ----------------------------------------------------------

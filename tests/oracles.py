@@ -459,6 +459,92 @@ def connected_graphs_reference(n):
     return result
 
 
+_cubic_reference_cache = {}
+
+
+def connected_cubic_graphs_reference(n):
+    """Connected cubic graphs of order n by canonicalizing every leaf.
+
+    A verbatim copy of smallgraphs.connected_cubic_graphs before it became
+    orderly, with its own cache and no order limit.  The orderly generator
+    keeps the first leaf of each class in the same DFS, so it must return
+    exactly this list.
+
+    Depth-first completion: repeatedly take the smallest vertex u with
+    degree < 3 and branch over every way to finish its neighborhood with
+    already-introduced deficient vertices plus a block of fresh ones (fresh
+    ids are always taken in increasing order, so each labeled graph is
+    produced along exactly one path).  Branches whose component saturates
+    before absorbing all n vertices cannot end connected and are cut.
+    Leaves are deduplicated by canonical form.
+    """
+    if n < 4 or n % 2:
+        return []
+    if n in _cubic_reference_cache:
+        return _cubic_reference_cache[n]
+
+    seen: set[bytes] = set()
+    result: list[Graph] = []
+
+    def component_saturated(rows, start) -> bool:
+        comp = 1 << start
+        frontier = comp
+        while frontier:
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= rows[v]
+            frontier = nxt & ~comp
+            comp |= nxt
+        return all(rows[v].bit_count() == 3 for v in bits(comp)) and (
+            comp.bit_count() < n
+        )
+
+    def finish(rows, touched: int):
+        u = -1
+        for v in range(touched):
+            if rows[v].bit_count() < 3:
+                u = v
+                break
+        if u < 0:
+            if touched < n:
+                return  # all introduced vertices saturated, rest unreachable
+            cert = canonical_form(rows, n)
+            if cert not in seen:
+                seen.add(cert)
+                result.append(Graph(n, tuple(rows)))
+            return
+        missing = 3 - rows[u].bit_count()
+        olds = [
+            w
+            for w in range(u + 1, touched)
+            if rows[w].bit_count() < 3 and not (rows[u] >> w) & 1
+        ]
+        for fresh in range(min(missing, n - touched) + 1):
+            take_old = missing - fresh
+            if take_old > len(olds):
+                continue
+            for chosen in combinations(olds, take_old):
+                new_rows = list(rows)
+                ok = True
+                for w in chosen:
+                    new_rows[u] |= 1 << w
+                    new_rows[w] |= 1 << u
+                for t in range(fresh):
+                    w = touched + t
+                    new_rows[u] |= 1 << w
+                    new_rows[w] |= 1 << u
+                if component_saturated(new_rows, u):
+                    ok = False
+                if ok:
+                    finish(new_rows, touched + fresh)
+
+    start = [0] * n
+    finish(start, 1)
+    result.sort(key=lambda g: g.adj)
+    _cubic_reference_cache[n] = result
+    return result
+
+
 # Verbatim copies of the longest-sequence and game kernels before they were
 # pruned.  Every state is expanded and the witness is read back from the
 # complete memo table, so the pruned kernels must return exactly these values

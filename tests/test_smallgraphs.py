@@ -4,11 +4,13 @@ import pytest
 
 import oracles
 from grundytd import (
+    CapacityError,
     Graph,
     are_isomorphic,
     complete,
     connected_cubic_graphs,
     connected_graphs,
+    connected_regular_graphs,
     cycle,
     graph_canonical_form,
     k_kk,
@@ -78,6 +80,75 @@ def test_cubic_graphs_are_cubic_and_connected():
 
 def test_odd_order_has_no_cubic_graphs():
     assert connected_cubic_graphs(5) == []
+
+
+def test_cubic_graphs_match_reference_generator():
+    for n in range(4, 11):
+        assert connected_cubic_graphs(n) == oracles.connected_cubic_graphs_reference(n)
+
+
+@pytest.mark.slow
+def test_cubic_graphs_match_reference_generator_order_twelve():
+    assert connected_cubic_graphs(12) == oracles.connected_cubic_graphs_reference(12)
+
+
+def test_regular_graphs_make_no_canonical_form_call(monkeypatch):
+    # the canonicalizing generator made 695 calls up to order 10
+    calls = []
+    canonical = smallgraphs.canonical_form
+
+    def counting(adj, n):
+        calls.append(n)
+        return canonical(adj, n)
+
+    monkeypatch.setattr(smallgraphs, "_regular_cache", {})
+    monkeypatch.setattr(smallgraphs, "canonical_form", counting)
+    counts = [len(connected_cubic_graphs(n)) for n in range(4, 13, 2)]
+    assert counts == [1, 2, 5, 19, 85]
+    assert calls == []
+
+
+def _check_regular_classes(n, k, count):
+    graphs = connected_regular_graphs(n, k)
+    assert len(graphs) == count
+    for g in graphs:
+        rep = structural_report(g)
+        assert rep.connected and rep.regular_degree == k
+    # canonical_form takes no part in the generator, so it is an oracle here
+    assert len({graph_canonical_form(g) for g in graphs}) == count
+
+
+@pytest.mark.parametrize(
+    "n, k, count",
+    # quartic graphs of order 5-10 (OEIS A006820), quintic of order 6, 8
+    # and 10 (A006821)
+    [(5, 4, 1), (6, 4, 1), (7, 4, 2), (8, 4, 6), (9, 4, 16), (10, 4, 59)]
+    + [(6, 5, 1), (8, 5, 3), (10, 5, 60)],
+)
+def test_regular_counts(n, k, count):
+    _check_regular_classes(n, k, count)
+
+
+def test_regular_graphs_of_impossible_or_small_degree():
+    assert connected_regular_graphs(7, 3) == []  # n * k odd
+    assert connected_regular_graphs(5, 5) == []  # k >= n
+    assert connected_regular_graphs(4, 9) == []
+    assert connected_regular_graphs(6, -1) == []
+    assert connected_regular_graphs(0, 0) == []
+    assert connected_regular_graphs(-3, 2) == []
+    assert connected_regular_graphs(2, 0) == []  # 0-regular is connected only on K1
+    assert connected_regular_graphs(1, 0) == [Graph(1, (0,))]
+    assert connected_regular_graphs(2, 1) == [Graph.from_edges(2, [(0, 1)])]
+    (ring,) = connected_regular_graphs(9, 2)
+    assert are_isomorphic(ring, cycle(9))
+
+
+def test_regular_graphs_above_their_limit_are_capacity_error():
+    for k in range(-1, 8):
+        limit = smallgraphs.MAX_CUBIC_ORDER if k <= 3 else smallgraphs.MAX_REGULAR_ORDER
+        for n in (limit + 1, limit + 2, 10**6):
+            with pytest.raises(CapacityError):
+                connected_regular_graphs(n, k)
 
 
 def test_enumeration_has_no_duplicates():

@@ -9,13 +9,16 @@ from grundytd import (
     InvariantViolation,
     PairLabeling,
     PreconditionError,
+    are_isomorphic,
     bound_report,
     build_family,
     complete_multipartite_parts,
     compute_report,
+    connected_regular_graphs,
     cycle,
     family_t_members,
     find_pair_labeling,
+    gm_graph,
     grundy_total_domination_number,
     is_complete_multipartite,
     is_in_family_t,
@@ -247,6 +250,37 @@ def test_bipartite_cubic_construction():
     assert res.bipartite
     assert res.meets_bound
     assert is_total_dominating_sequence(g, res.sequence)
+
+
+def _check_regular_bound(graphs, k):
+    """The abstract's bound on every graph but K_{k,k}; bipartite ones tested."""
+    half = (k + 1) // 2
+    bipartite = 0
+    for g in graphs:
+        if are_isomorphic(g, k_kk(k)):
+            continue
+        res = regular_greedy_sequence(g)
+        assert res.bipartite == structural_report(g).bipartite
+        if res.bipartite:
+            bipartite += 1
+            bound = Fraction(g.n + 2 * half - 4, k - 1)
+        else:
+            bound = Fraction(g.n + half - 2, k - 1)
+        assert res.k == k and res.bound == bound
+        assert res.meets_bound and len(res.sequence) >= bound
+        assert is_total_dominating_sequence(g, res.sequence)
+        assert grundy_total_domination_number(g)[0] >= bound
+    return bipartite
+
+
+def test_construction_meets_the_bound_on_quartic_and_quintic_graphs():
+    quartic = [g for n in range(5, 11) for g in connected_regular_graphs(n, 4)]
+    # K5,5 minus a perfect matching is the bipartite quartic graph of order 10
+    assert _check_regular_bound(quartic, 4) >= 1
+    quintic = [g for n in (6, 8, 10) for g in connected_regular_graphs(n, 5)]
+    assert _check_regular_bound(quintic, 5) == 0
+    # no bipartite quintic graph but K5,5 has order below 12
+    assert _check_regular_bound([gm_graph(6)], 5) == 1
 
 
 def test_construction_bound_value():
