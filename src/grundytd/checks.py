@@ -19,10 +19,12 @@ domination is undefined there).  For each remaining instance it computes
 one report holding the union of the invariants the selected checkers
 declare, none at all when they declare none, passes it to each of them and
 drops it before the next instance, then adds up the per-instance results
-of every checker.  A few results lie outside the report and stay with the
-checker that needs them, computed once: interpolation witnesses, pair
-labelings, the neighbourhood hypergraph's covering number and the
-incidence graph's value.
+of every checker.  A checker may also register a predicate saying which
+instances its statement covers; it is not called on the others, and an
+instance that no selected checker covers gets no report at all.  A few
+results lie outside the report and stay with the checker that needs them,
+computed once: interpolation witnesses, pair labelings, the neighbourhood
+hypergraph's covering number and the incidence graph's value.
 
 Each checker registers itself under its stable CLI name and aliases,
 with the kind of input it expects and the invariants it reads; REGISTRY,
@@ -113,16 +115,18 @@ class CheckDef:
     kind: str  # graphs | trees | regular | hypergraphs
     aliases: tuple[str, ...] = field(default=())
     keys: tuple[str, ...] = field(default=())  # invariants the checker reads
+    # instance -> whether the statement covers it; None covers every instance
+    applies: object = None
 
 
 REGISTRY: dict[str, CheckDef] = {}
 
 
-def _checker(name: str, kind: str, *aliases: str, keys=()):
+def _checker(name: str, kind: str, *aliases: str, keys=(), applies=None):
     """Register the decorated function as the checker with this CLI name."""
 
     def register(run):
-        REGISTRY[name] = CheckDef(name, run, kind, aliases, keys)
+        REGISTRY[name] = CheckDef(name, run, kind, aliases, keys, applies)
         return run
 
     return register
@@ -234,7 +238,13 @@ def check_tree_matching_order(t: Graph, rep: InvariantReport, cap=None) -> Check
     return _pass("tree-matching-order")
 
 
-@_checker("tree-lower-bound", "trees", "thm5.4", keys=("gamma_grt",))
+@_checker(
+    "tree-lower-bound",
+    "trees",
+    "thm5.4",
+    keys=("gamma_grt",),
+    applies=theorems.tree_bound_applies,
+)
 def check_tree_lower_bound(t: Graph, rep: InvariantReport, cap=None) -> CheckResult:
     """No strong support vertex forces value >= 2(n+1)/3; equality is the family."""
     tb = theorems.tree_bound_report(t, rep)
@@ -350,7 +360,9 @@ def run_checks(names, items, item_kind: str, cap=None) -> list[CheckResult]:
     checker that expects the other sort is a usage error.  Graphs with an
     isolated vertex are skipped.  The checkers share one report per
     instance, computed with only the invariants they declare; the report
-    is never kept past its instance.
+    is never kept past its instance.  A checker whose predicate rejects an
+    instance adds nothing for it (it would be untested), and an instance
+    that no checker covers is not solved.
     """
     defs = [REGISTRY[name] for name in names]
     for d in defs:
@@ -365,12 +377,19 @@ def run_checks(names, items, item_kind: str, cap=None) -> list[CheckResult]:
     for item in items:
         if not on_hypergraphs and item.has_isolated_vertex():
             continue
+        covering = [
+            (d, tally)
+            for d, tally in zip(defs, tallies)
+            if d.applies is None or d.applies(item)
+        ]
+        if not covering:
+            continue
         rep = None
         if keys and on_hypergraphs:
             rep = hypergraph_report(item, keys, cap)
         elif keys:
             rep = solver.compute_report(item, keys, cap)
-        for d, tally in zip(defs, tallies):
+        for d, tally in covering:
             tally.add(d.run(item, rep, cap))
     return [tally.result() for tally in tallies]
 

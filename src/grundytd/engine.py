@@ -29,6 +29,18 @@ seeded with those static bounds; its full-window root search is exact, and
 the principal line is rebuilt with null-window probes.  Both witnesses are
 still the smallest index that keeps the optimum at every step.
 
+The matching search adds edges in a fixed order and carries a mask of
+blocked vertices that no valid extension can use.  After an edge uv, a
+strong matching blocks N[u] and N[v], so any later edge that avoids the
+mask keeps the matching induced.  A semistrong matching blocks u, v and the
+vertices whose matching would lift both ends of some matched edge above
+induced degree 1, so a later edge that avoids the mask needs only one
+endpoint with no matched neighbour.  A node is cut when its size plus half
+the unblocked vertices that the remaining edges touch cannot beat the best
+so far.  That bound is exact in the same sense as the cut-offs above: it
+only drops subtrees with no strictly larger matching, so the witness stays
+the first maximum matching in edge order.
+
 All functions are pure; memo tables live per call, so concurrent use is safe.
 Every recursive inner function is dropped before its kernel returns, so its
 table is freed at once rather than at the next cyclic collection.
@@ -381,7 +393,21 @@ def max_matching(adj, n: int, semistrong: bool):
     strong when every matched vertex has degree exactly 1 inside the
     subgraph induced by V(M); semistrong relaxes that to one endpoint per
     matching edge.  Both properties are inherited by subsets, so the search
-    only ever extends valid partial matchings.  Returns (size, edge list).
+    only ever extends valid partial matchings, edge by edge in a fixed
+    order.  Returns (size, edge list).
+
+    The search carries a mask of blocked vertices that no later edge may
+    touch, because every extension using one is invalid.  A strong matching
+    blocks the closed neighbourhoods of both endpoints of each matched
+    edge: an edge that avoids them keeps every induced degree at 1, so
+    strong extensions need no further test.  A semistrong matching blocks
+    the matched vertices and the neighbours it can no longer afford; an
+    edge that avoids them only needs one endpoint with no matched
+    neighbour (see grow_semistrong).  A node is cut when even pairing up
+    every unblocked vertex that a remaining edge touches could not beat the
+    best matching so far.  Blocking drops no valid extension, and a
+    matching only replaces the best when strictly larger, so the witness is
+    the first maximum matching in edge order, as in the unpruned search.
     """
     edges: list[tuple[int, int]] = []
     for u in range(n):
@@ -389,40 +415,71 @@ def max_matching(adj, n: int, semistrong: bool):
             edges.append((u, u + 1 + v))
     m = len(edges)
 
+    # suffix[i]: the vertices that edges i.. touch
+    suffix = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        u, v = edges[i]
+        suffix[i] = suffix[i + 1] | (1 << u) | (1 << v)
+    closed = [adj[u] | (1 << u) for u in range(n)]
+    partner = [0] * n
+
     best_size = 0
     best_m: list[tuple[int, int]] = []
 
-    def valid(pairs, vmask: int) -> bool:
-        for a, b in pairs:
-            da = (adj[a] & vmask).bit_count()
-            db = (adj[b] & vmask).bit_count()
-            if semistrong:
-                if da != 1 and db != 1:
-                    return False
-            elif da != 1 or db != 1:
-                return False
-        return True
+    def grow_semistrong(u: int, v: int, matched: int, blocked: int) -> int:
+        """The blocked mask after matching uv, or -1 if the matching would
+        stop being semistrong.
 
-    def dfs(start: int, pairs: list[tuple[int, int]], vmask: int):
+        Induced degrees only grow as edges join.  So once a matched edge
+        has a single endpoint of degree 1, every neighbour of that endpoint
+        is blocked, and while both endpoints have degree 1, their common
+        neighbours are.  If u has no matched neighbour, only v raises
+        matched degrees, and an unblocked v raises no lone degree-1
+        endpoint and at most one end of any other matched edge: every
+        matched edge keeps an endpoint of degree 1, and so does uv.  If
+        both u and v have matched neighbours, uv has none.
+        """
+        free_u = not adj[u] & matched
+        free_v = not adj[v] & matched
+        if free_u and free_v:
+            grown = adj[u] & adj[v]
+        elif free_u:
+            grown = adj[u]
+        elif free_v:
+            grown = adj[v]
+        else:
+            return -1
+        # a matched vertex next to u or v leaves degree 1 to its partner,
+        # whose neighbours are blocked from now on
+        for a in bits((adj[u] | adj[v]) & matched):
+            grown |= adj[partner[a]]
+        return blocked | grown | (1 << u) | (1 << v)
+
+    def dfs(start: int, pairs: list[tuple[int, int]], matched: int, blocked: int):
         nonlocal best_size, best_m
         if len(pairs) > best_size:
             best_size = len(pairs)
             best_m = list(pairs)
-        if len(pairs) + (n - vmask.bit_count()) // 2 <= best_size:
+        if len(pairs) + (suffix[start] & ~blocked).bit_count() // 2 <= best_size:
             return
         for idx in range(start, m):
             u, v = edges[idx]
-            if (vmask >> u) & 1 or (vmask >> v) & 1:
+            if (blocked >> u) & 1 or (blocked >> v) & 1:
                 continue
-            nmask = vmask | (1 << u) | (1 << v)
+            if semistrong:
+                grown = grow_semistrong(u, v, matched, blocked)
+                if grown < 0:
+                    continue
+                partner[u] = v
+                partner[v] = u
+            else:
+                grown = blocked | closed[u] | closed[v]
             pairs.append((u, v))
-            if valid(pairs, nmask):
-                dfs(idx + 1, pairs, nmask)
+            dfs(idx + 1, pairs, matched | (1 << u) | (1 << v), grown)
             pairs.pop()
-        return
 
     try:
-        dfs(0, [], 0)
+        dfs(0, [], 0, 0)
     finally:
         dfs = None  # the closure refers to itself
     return best_size, best_m

@@ -419,6 +419,13 @@ class TreeBoundReport:
     certificate: FamilyTCertificate | None
 
 
+def tree_bound_applies(t: Graph) -> bool:
+    """Whether the 2(n+1)/3 bound covers the tree t (tree_bound_report's
+    `applicable`): order 2 or more and no strong support vertex.  Needs no
+    invariant of t."""
+    return t.n >= 2 and not _require_tree(t).strong_support_vertices
+
+
 def tree_bound_report(t: Graph, rep: solver.InvariantReport) -> TreeBoundReport:
     """Evaluate the bound on a tree, reading gamma_grt from its report."""
     st = _require_tree(t)

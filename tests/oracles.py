@@ -270,14 +270,17 @@ def max_special_matching(g, semistrong):
     """Largest strong (induced) or semistrong matching by edge-subset DFS.
 
     Both properties are closed under deleting edges, so partial matchings
-    that already fail can be pruned without losing any maximum.
+    that already fail can be pruned without losing any maximum.  There is
+    no bound: every valid matching is visited, in edge order.  Returns
+    (size, the first maximum matching found).
     """
     edges = edges_of(g)
-    best = [0]
+    best = [0, []]
 
     def walk(start, matching, used):
         if len(matching) > best[0]:
             best[0] = len(matching)
+            best[1] = list(matching)
         for i in range(start, len(edges)):
             u, v = edges[i]
             if u in used or v in used:
@@ -288,7 +291,30 @@ def max_special_matching(g, semistrong):
             matching.pop()
 
     walk(0, [], set())
-    return best[0]
+    return best[0], best[1]
+
+
+def line_graph_square_independence(g):
+    """alpha(L(G)^2), the strong matching number (Cameron 1989).
+
+    Two edges of G are adjacent in the square of the line graph when they
+    lie within distance 2 in L(G), so an independent set there is a set of
+    edges no two of which share or are joined by an edge: an induced
+    matching.  Exhaustive include/exclude branching over the edges.
+    """
+    edges = edges_of(g)
+    m = len(edges)
+    line = [{j for j in range(m) if j != i and set(edges[i]) & set(edges[j])}
+            for i in range(m)]
+    square = [(line[i] | {k for j in line[i] for k in line[j]}) - {i} for i in range(m)]
+
+    def alpha(free):
+        if not free:
+            return 0
+        i = min(free)
+        return max(alpha(free - {i}), 1 + alpha(free - {i} - square[i]))
+
+    return alpha(frozenset(range(m)))
 
 
 def hyper_longest_cover(h):

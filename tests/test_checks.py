@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -152,6 +153,29 @@ def test_tree_sweep_solves_each_tree_once(capsys, monkeypatch):
     tested = _sweep_json(capsys, ["trees:9:40", "--suite", "trees", "--seed", "5"])
     assert tested["tree-matching-order"] == 40
     assert len(calls["max_cover_sequence"]) == 40
+
+
+def test_tree_lower_bound_solves_only_the_trees_it_covers(capsys, monkeypatch):
+    # trees with a strong support vertex lie outside Thm 5.4: no report for them
+    reports = _count_calls(monkeypatch, solver, "compute_report")["compute_report"]
+    tested = _sweep_json(capsys, ["trees:12:200", "--seed", "3", "--checks", "thm5.4"])
+    assert tested == {"tree-lower-bound": 72}
+    assert len(reports) == 72
+
+
+def test_runner_calls_a_checker_only_on_instances_it_covers(monkeypatch):
+    seen = []
+    d = REGISTRY["tree-lower-bound"]
+
+    def run(t, rep, cap=None):
+        seen.append(t)
+        return d.run(t, rep, cap)
+
+    monkeypatch.setitem(REGISTRY, d.name, dataclasses.replace(d, run=run))
+    trees = small_trees()
+    (res,) = run_checks([d.name], trees, "trees")
+    covered = [t for t in trees if d.applies(t)]
+    assert seen == covered and 0 < res.tested == len(covered) < len(trees)
 
 
 def test_hypergraph_sweep_solves_each_invariant_once(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -234,3 +235,62 @@ def test_sequence_witnesses_match_exhaustive_oracle(connected_upto_6):
 def test_game_line_matches_bare_minimax(connected_upto_6):
     for g in connected_upto_6:
         assert game_total_domination_number(g) == oracles.game_line(g)
+
+
+def _matchings(g):
+    strong, semistrong = strong_matching_number(g), semistrong_matching_number(g)
+    return strong[0], list(strong[1]), semistrong[0], list(semistrong[1])
+
+
+def _oracle_matchings(g):
+    return (*oracles.max_special_matching(g, False), *oracles.max_special_matching(g, True))
+
+
+def test_matchings_match_unpruned_oracle(connected_upto_7):
+    # value and witness: the first maximum matching in edge order
+    for g in connected_upto_7:
+        assert _matchings(g) == _oracle_matchings(g), g.edges()
+
+
+def test_matchings_match_unpruned_oracle_on_random_graphs():
+    rng = random.Random(1989)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        density = rng.random()
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        g = Graph.from_edges(n, pairs)
+        assert _matchings(g) == _oracle_matchings(g), pairs
+
+
+def test_strong_matching_is_independence_in_square_of_line_graph(connected_upto_6):
+    for g in connected_upto_6:
+        assert strong_matching_number(g)[0] == oracles.line_graph_square_independence(g)
+
+
+# Game total domination on paths and cycles (Dorbec and Henning, "Game total
+# domination for cycles and paths", Discrete Appl. Math. 2016).  The cycle
+# formula is the paper's as recalled.  The path formula was fitted to this
+# solver's own values, so until it is checked against the paper it only
+# guards against regressions.
+def _gamma_tg_cycle(n):
+    return (2 * n + 1) // 3 - (n % 6 == 4)
+
+
+def _gamma_tg_path(n):
+    return -(-2 * n // 3) - (n % 6 == 5)
+
+
+def _check_gamma_tg_formulas(orders):
+    for n in orders:
+        assert game_total_domination_number(path(n))[0] == _gamma_tg_path(n), n
+        if n >= 3:
+            assert game_total_domination_number(cycle(n))[0] == _gamma_tg_cycle(n), n
+
+
+def test_game_value_on_paths_and_cycles_follows_closed_formulas():
+    _check_gamma_tg_formulas(range(2, 21))
+
+
+@pytest.mark.slow
+def test_game_value_on_paths_and_cycles_follows_closed_formulas_to_the_cap():
+    _check_gamma_tg_formulas(range(21, 25))
