@@ -19,6 +19,18 @@ the covered set determines which moves remain, with no need to remember
 which indices were played.  Tests cross-check this against a
 memoization-free search that carries the full played-set state.
 
+The longest-sequence search first splits the universe into the parts that
+no mask bridges (a flood fill over the masks).  A move covers elements of
+one part only, so a legal sequence is an interleaving of legal sequences
+over the parts, and the longest has the sum of their lengths.  Each part is
+searched alone with its own table: the open neighbourhoods of a bipartite
+graph with colour classes A and B take at most 2^|A| + 2^|B| states instead
+of up to 2^(|A| + |B|).  A move changes only its own part's term of the
+sum, so the smallest index that keeps the optimum is the smallest of the
+parts' next witness indices.  Interleaving the parts' witnesses by their
+next index thus gives the witness that a search of the whole universe would
+rebuild, and every child it looks up was visited by its part's search.
+
 The longest-sequence and game searches prune with exact cut-offs.  Every
 move covers at least one new element and at most as many as the widest mask,
 so from a state with r uncovered elements at most r and at least
@@ -48,6 +60,8 @@ table is freed at once rather than at the next cyclic collection.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import InvariantViolation
 from .graph import bits
 
@@ -63,40 +77,47 @@ def _check_coverable(masks, universe):
         raise ValueError("mask family does not cover the universe")
 
 
-def max_cover_sequence(masks, universe):
-    """Longest legal cover sequence.
+def _parts(masks, universe):
+    """The parts of the universe that no mask bridges: the smallest sets
+    that split it so that every mask lies inside one of them."""
+    parts = []
+    rest = universe
+    while rest:
+        part = rest & -rest
+        grown = 0
+        while grown != part and part != rest:
+            grown = part
+            for m in masks:
+                if m & part:
+                    part |= m
+        parts.append(part)
+        rest &= ~part
+    return parts
 
-    Returns (length, sequence of mask indices).  Requires the masks to
-    jointly cover the universe, which guarantees every maximal legal
-    sequence is complete (covers everything): whenever some element is
-    uncovered, any mask containing it is a legal move.
-    """
-    masks = [m & universe for m in masks]
-    _check_coverable(masks, universe)
-    if universe == 0:
-        return 0, []
 
-    memo: dict[int, int] = {}
+def _longest(masks, universe):
+    """The pruned memo search over one part, where the masks of every other
+    part are empty: (length, witness)."""
+    memo: dict[int, int] = {universe: 0}  # a covered universe needs no move
 
     def longest(covered: int) -> int:
-        if covered == universe:
-            return 0
-        val = memo.get(covered)
-        if val is None:
-            uncovered = universe & ~covered
-            # every move covers at least one new element, so no state can
-            # beat this bound and the first child reaching it ends the loop
-            bound = uncovered.bit_count()
-            best = 0
-            for m in masks:
-                if m & uncovered:
-                    r = 1 + longest(covered | m)
-                    if r > best:
-                        best = r
-                        if best == bound:
-                            break
-            memo[covered] = val = best
-        return val
+        uncovered = universe & ~covered
+        # every move covers at least one new element, so no state can beat
+        # this bound and the first child reaching it ends the loop
+        bound = uncovered.bit_count()
+        best = 0
+        for m in masks:
+            if m & uncovered:
+                child = covered | m
+                r = memo.get(child)
+                if r is None:
+                    r = longest(child)
+                if r >= best:
+                    best = r + 1
+                    if best == bound:
+                        break
+        memo[covered] = best
+        return best
 
     try:
         total = longest(0)
@@ -113,14 +134,49 @@ def max_cover_sequence(masks, universe):
         for i, m in enumerate(masks):
             if m & ~covered:
                 child = covered | m
-                child_val = 0 if child == universe else memo[child]
-                if child_val == need - 1:
+                if memo[child] == need - 1:
                     seq.append(i)
                     covered = child
                     need -= 1
                     break
         else:
             raise InvariantViolation("witness reconstruction failed")
+    return total, seq
+
+
+def max_cover_sequence(masks, universe):
+    """Longest legal cover sequence.
+
+    Returns (length, sequence of mask indices).  Requires the masks to
+    jointly cover the universe, which guarantees every maximal legal
+    sequence is complete (covers everything): whenever some element is
+    uncovered, any mask containing it is a legal move.
+
+    Each part of the universe that no mask bridges is searched alone, with
+    its own masks and its own table; the length is the sum of the parts'
+    lengths.  The witness interleaves the parts' own witnesses, taking at
+    each step the part whose next index is smallest.  A move changes only
+    its own part's remaining optimum, so that index is the smallest that
+    keeps the whole optimum: the witness is the one a search of the whole
+    universe would rebuild.
+    """
+    masks = [m & universe for m in masks]
+    _check_coverable(masks, universe)
+    total = 0
+    walks = []
+    for part in _parts(masks, universe):
+        length, walk = _longest([m & part for m in masks], part)
+        total += length
+        walks.append(walk)
+
+    # merge by the next index until a single part has moves left
+    seq: list[int] = []
+    while len(walks) > 1:
+        walk = min(walks, key=itemgetter(0))
+        seq.append(walk.pop(0))
+        walks = [w for w in walks if w]
+    for walk in walks:
+        seq += walk
     return total, seq
 
 

@@ -163,12 +163,6 @@ def structural_report(g: Graph) -> StructuralReport:
         if g.adj[u] == g.adj[v]
     )
 
-    strong = tuple(
-        v
-        for v in range(n)
-        if sum(1 for u in bits(g.adj[v]) if degs[u] == 1) >= 2
-    )
-
     is_tree = connected and g.edge_count() == n - 1
     return StructuralReport(
         connected=connected,
@@ -176,9 +170,18 @@ def structural_report(g: Graph) -> StructuralReport:
         bipartition=partition,
         regular_degree=regular,
         open_twin_pairs=twins,
-        strong_support_vertices=strong,
+        strong_support_vertices=strong_support_vertices(g),
         is_tree=is_tree,
     )
+
+
+def strong_support_vertices(g: Graph) -> tuple[int, ...]:
+    """The vertices adjacent to two or more leaves."""
+    leaves = 0
+    for v in range(g.n):
+        if g.degree(v) == 1:
+            leaves |= 1 << v
+    return tuple(v for v in range(g.n) if _popcount(g.adj[v] & leaves) >= 2)
 
 
 def is_connected(g: Graph) -> bool:

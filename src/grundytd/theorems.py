@@ -33,7 +33,14 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .graph import Graph, StructuralReport, bits, induced_subgraph, structural_report
+from .graph import (
+    Graph,
+    bits,
+    induced_subgraph,
+    is_connected,
+    strong_support_vertices,
+    structural_report,
+)
 from .sequences import check_legal, greedy_extend, is_total_dominating_sequence
 from .smallgraphs import canonical_form
 
@@ -167,11 +174,9 @@ def is_balanced_complete_bipartite(g: Graph, k: int) -> bool:
 # -- trees: perfect matchings ----------------------------------------------------
 
 
-def _require_tree(g: Graph) -> StructuralReport:
-    st = structural_report(g)
-    if not st.is_tree:
+def _require_tree(g: Graph) -> None:
+    if not (is_connected(g) and g.edge_count() == g.n - 1):
         raise DomainError("this operation is defined for trees only")
-    return st
 
 
 def tree_perfect_matching(t: Graph):
@@ -423,32 +428,25 @@ def tree_bound_applies(t: Graph) -> bool:
     """Whether the 2(n+1)/3 bound covers the tree t (tree_bound_report's
     `applicable`): order 2 or more and no strong support vertex.  Needs no
     invariant of t."""
-    return t.n >= 2 and not _require_tree(t).strong_support_vertices
+    if t.n < 2:
+        return False
+    _require_tree(t)
+    return not strong_support_vertices(t)
 
 
 def tree_bound_report(t: Graph, rep: solver.InvariantReport) -> TreeBoundReport:
     """Evaluate the bound on a tree, reading gamma_grt from its report."""
-    st = _require_tree(t)
+    _require_tree(t)
+    strong = strong_support_vertices(t)
     value = rep.value("gamma_grt")
-    applicable = t.n >= 2 and not st.strong_support_vertices
+    applicable = t.n >= 2 and not strong
     if not applicable:
-        return TreeBoundReport(
-            t.n, st.strong_support_vertices, False, None, value, None, None, None
-        )
+        return TreeBoundReport(t.n, strong, False, None, value, None, None, None)
     bound = Fraction(2 * (t.n + 1), 3)
     meets = value >= bound
     equality = value == bound
     cert = is_in_family_t(t) if equality else None
-    return TreeBoundReport(
-        t.n,
-        st.strong_support_vertices,
-        True,
-        bound,
-        value,
-        meets,
-        equality,
-        cert,
-    )
+    return TreeBoundReport(t.n, strong, True, bound, value, meets, equality, cert)
 
 
 # -- regular graphs: the two-phase greedy construction -----------------------------
@@ -553,7 +551,8 @@ def bound_report(g: Graph, rep: solver.InvariantReport) -> BoundReport:
 
     The values come from rep, a report on g that holds all seven invariants.
     """
-    st = structural_report(g)
+    connected = is_connected(g)
+    low, high = g.min_degree(), g.max_degree()
     v = {key: r.value for key, r in rep.results.items()}
     n = g.n
     checks: list[BoundCheck] = []
@@ -568,21 +567,21 @@ def bound_report(g: Graph, rep: solver.InvariantReport) -> BoundReport:
     le("Gamma_t <= gamma_grt", v["Gamma_t"], v["gamma_grt"])
     le("gamma_t <= gamma_tg", v["gamma_t"], v["gamma_tg"])
     le("gamma_tg <= gamma_grt", v["gamma_tg"], v["gamma_grt"])
-    nd = Fraction(n, g.max_degree())
+    nd = Fraction(n, high)
     le("n/max_degree <= gamma_grt", nd, v["gamma_grt"])
-    if st.connected:
+    if connected:
         check(
             "gamma_grt = n/max_degree only for balanced complete bipartite",
-            v["gamma_grt"] != nd or is_balanced_complete_bipartite(g, g.max_degree()),
+            v["gamma_grt"] != nd or is_balanced_complete_bipartite(g, high),
         )
-    le("gamma_grt <= n - min_degree + 1", v["gamma_grt"], n - g.min_degree() + 1)
+    le("gamma_grt <= n - min_degree + 1", v["gamma_grt"], n - low + 1)
     le("2*nu_s <= 2*nu_ss", 2 * v["nu_s"], 2 * v["nu_ss"])
     le("2*nu_ss <= gamma_grt", 2 * v["nu_ss"], v["gamma_grt"])
     le("gamma_grt <= 2*gamma_gr", v["gamma_grt"], 2 * v["gamma_gr"])
     both_three = v["gamma_t"] == 3 and v["gamma_grt"] == 3
     check("never gamma_t = gamma_grt = 3", not both_three)
-    k = st.regular_degree
-    if st.connected and k is not None and k >= 1:
+    if connected and low == high >= 1:
+        k = high  # g is k-regular
         is_kkk = is_balanced_complete_bipartite(g, k)
         if k >= 3 and not is_kkk:
             le("regular: n/(k-1) <= gamma_grt", Fraction(n, k - 1), v["gamma_grt"])

@@ -1,5 +1,6 @@
-"""Kernels: the pruned searches against their unpruned originals, and
-no table left behind in cyclic garbage."""
+"""Kernels: the pruned searches against their unpruned originals, on
+families that one part of the universe spans and on families that split
+into parts, and no table left behind in cyclic garbage."""
 
 import gc
 import random
@@ -9,7 +10,8 @@ from operator import or_
 import pytest
 
 import oracles
-from grundytd import cycle, engine
+from grundytd import cycle, engine, structural_report
+from conftest import corpus
 
 
 def random_family(rng):
@@ -54,6 +56,55 @@ def test_pruned_kernels_match_unpruned_on_random_families():
             continue  # the kernels reject a family that does not cover
         compare(masks, universe)
         compared += 1
+
+
+def test_longest_sequence_on_bipartite_open_masks_matches_unpruned():
+    # N(v) lies in the other colour class, so the open masks of a connected
+    # bipartite graph split the universe into two parts that interleave in
+    # index order
+    compared = 0
+    for n in range(2, 8):
+        for g in corpus(n):
+            if not structural_report(g).bipartite:
+                continue
+            masks, universe = g.open_masks(), g.full_mask
+            assert len(engine._parts(masks, universe)) == 2
+            want = oracles.max_cover_sequence_unpruned(masks, universe)
+            assert engine.max_cover_sequence(masks, universe) == want, g
+            compared += 1
+    assert compared == 1 + 1 + 3 + 5 + 17 + 44
+
+
+def split_family(rng):
+    """Two or three small random families on disjoint bits, their masks
+    shuffled together, with duplicates and bits outside the universe."""
+    masks = []
+    universe = 0
+    offset = 0
+    for _ in range(rng.randint(2, 3)):
+        width = rng.randint(1, 4)
+        part = [rng.randint(1, (1 << width) - 1) for _ in range(rng.randint(1, 5))]
+        part.append((1 << width) - 1 ^ reduce(or_, part))  # cover the part
+        masks += [m << offset for m in part if m]
+        universe |= ((1 << width) - 1) << offset
+        offset += width + rng.randint(0, 2)  # sometimes a gap of unused bits
+    outside = 1 << offset
+    for _ in range(rng.randint(0, 3)):
+        pick = rng.randrange(len(masks))
+        masks.append(masks[pick] | outside if rng.random() < 0.5 else masks[pick])
+    if rng.random() < 0.3:
+        masks.append(outside)
+    rng.shuffle(masks)
+    return masks, universe
+
+
+def test_longest_sequence_on_split_random_families_matches_unpruned():
+    rng = random.Random(1611)
+    for _ in range(300):
+        masks, universe = split_family(rng)
+        assert len(engine._parts([m & universe for m in masks], universe)) >= 2
+        want = oracles.max_cover_sequence_unpruned(masks, universe)
+        assert engine.max_cover_sequence(masks, universe) == want, masks
 
 
 _C16 = cycle(16)

@@ -28,6 +28,7 @@ from grundytd import (
     is_total_dominating_sequence,
     is_total_dominating_set,
     path,
+    random_connected_graph,
     semistrong_matching_number,
     star,
     strong_matching_number,
@@ -230,6 +231,25 @@ def test_sequence_witnesses_match_exhaustive_oracle(connected_upto_6):
     for g in connected_upto_6:
         assert grundy_total_domination_number(g) == oracles.longest_sequence(g, "open")
         assert grundy_domination_number(g) == oracles.longest_sequence(g, "closed")
+
+
+def test_longest_sequence_of_a_disjoint_union_is_the_sum():
+    # a legal sequence of G + H interleaves one of G with one of H, so the
+    # longest has gamma_grt(G) + gamma_grt(H) entries; the union's vertices
+    # are shuffled so that the two graphs interleave in vertex order
+    rng = random.Random(2016)
+    for _ in range(100):
+        g = random_connected_graph(rng.randint(2, 7), rng.random(), rng)
+        h = random_connected_graph(rng.randint(2, 7), rng.random(), rng)
+        perm = list(range(g.n + h.n))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in g.edges()]
+        edges += [(perm[g.n + u], perm[g.n + v]) for u, v in h.edges()]
+        union = Graph.from_edges(g.n + h.n, edges)
+        value, seq = grundy_total_domination_number(union)
+        parts = grundy_total_domination_number(g)[0] + grundy_total_domination_number(h)[0]
+        assert value == parts, edges
+        assert len(seq) == value and is_total_dominating_sequence(union, seq)
 
 
 def test_game_line_matches_bare_minimax(connected_upto_6):

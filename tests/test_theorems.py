@@ -6,6 +6,7 @@ import pytest
 import oracles
 from grundytd import (
     DomainError,
+    Graph,
     InvariantViolation,
     PairLabeling,
     PreconditionError,
@@ -39,6 +40,7 @@ from grundytd import (
     tree_perfect_matching,
     verify_pair_labeling,
 )
+from grundytd.theorems import tree_bound_applies
 
 
 # ---------- pair labelings (full-order sequences) ----------
@@ -212,6 +214,14 @@ def test_p7_strict_above_bound():
     assert not rep.equality
 
 
+def test_tree_functions_reject_a_cycle_beside_an_edge():
+    # n - 1 edges but not connected: a triangle and a separate edge
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    for tree_function in (tree_perfect_matching, tree_bound_applies, is_in_family_t):
+        with pytest.raises(DomainError):
+            tree_function(g)
+
+
 def test_random_trees_obey_bound():
     rng = random.Random(20)
     for _ in range(60):
@@ -305,6 +315,18 @@ def test_bound_report_names_the_checks():
     assert "gamma_grt <= 2*gamma_gr" in names
     assert "regular: n/(k-1) <= gamma_grt" in names
     assert rep.violations == ()
+
+
+def test_bound_report_checks_regular_bounds_on_connected_graphs_only():
+    k4 = complete(4)
+    two_k4 = Graph.from_edges(8, k4.edges() + [(u + 4, v + 4) for u, v in k4.edges()])
+    regular = "regular: n/(k-1) <= gamma_grt"
+    floor = "gamma_grt = n/max_degree only for balanced complete bipartite"
+    one = bound_report(k4, compute_report(k4))
+    assert {regular, floor} <= {c.name for c in one.checks}
+    two = bound_report(two_k4, compute_report(two_k4))
+    assert not {regular, floor} & {c.name for c in two.checks}
+    assert one.violations == two.violations == ()
 
 
 def test_balanced_bipartite_equality_case():
