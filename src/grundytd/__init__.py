@@ -29,6 +29,7 @@ from .formats import (
 from .graph import (
     Graph,
     StructuralReport,
+    bipartition,
     build_family,
     complete,
     complete_bipartite,
@@ -107,6 +108,7 @@ from .theorems import (
     is_in_family_t,
     pair_labeling_from_sequence,
     regular_greedy_sequence,
+    regular_lower_bound,
     replay_family_t_certificate,
     tree_bound_report,
     tree_matching_sequence,

@@ -8,7 +8,7 @@ applied to a family of masks over a universe bitmask:
   * exact minimum cover            (total domination number, edge cover number)
   * maximum minimal cover          (upper total domination number)
   * two-player cover game value    (game total domination number)
-  * legal cover sequence of an exact target length (interpolation witnesses)
+  * legal cover sequences of given lengths (interpolation witnesses)
   * maximum strong / semistrong matching
 
 A "legal" sequence picks masks one at a time, each contributing at least one
@@ -30,6 +30,13 @@ sum, so the smallest index that keeps the optimum is the smallest of the
 parts' next witness indices.  Interleaving the parts' witnesses by their
 next index thus gives the witness that a search of the whole universe would
 rebuild, and every child it looks up was visited by its part's search.
+
+The fixed-length search serves every wanted length from one table keyed
+by (covered, r), where r counts the moves still to make.  An entry is the
+smallest index of a legal move after which r - 1 more moves complete the
+cover, or -1 if none does, so each witness is read back from the table
+without a second search and is the smallest-index witness.  A state is cut
+once r exceeds its uncovered elements, since every move covers one.
 
 The longest-sequence and game searches prune with exact cut-offs.  Every
 move covers at least one new element and at most as many as the widest mask,
@@ -180,52 +187,52 @@ def max_cover_sequence(masks, universe):
     return total, seq
 
 
-def sequence_of_length(masks, universe, length: int):
-    """A legal complete cover sequence of exactly the given length, or None."""
+def sequence_of_length(masks, universe, lengths):
+    """A legal complete cover sequence of each wanted length that has one.
+
+    Returns {length: sequence of mask indices} in the order of lengths,
+    leaving out each length that no complete legal sequence has.  All the
+    lengths share one table, and each witness is read back from it.
+    """
     masks = [m & universe for m in masks]
     _check_coverable(masks, universe)
-    if length < 0:
-        return None
-    if universe == 0:
-        return [] if length == 0 else None
+    memo: dict[tuple[int, int], int] = {}
 
-    memo: dict[tuple[int, int], bool] = {}
-
-    def feasible(covered: int, r: int) -> bool:
-        if covered == universe:
-            return r == 0
-        if r <= 0:
-            return False
-        remaining = (universe & ~covered).bit_count()
-        if r > remaining:
-            return False  # each step covers at least one new element
+    def first(covered: int, r: int) -> int:
+        """The table entry for (covered, r), where r >= 1."""
+        uncovered = universe & ~covered
+        if r > uncovered.bit_count():
+            return -1  # each move covers at least one new element
         key = (covered, r)
-        val = memo.get(key)
-        if val is None:
-            val = False
-            for m in masks:
-                if m & ~covered and feasible(covered | m, r - 1):
-                    val = True
-                    break
-            memo[key] = val
-        return val
-
-    try:
-        if not feasible(0, length):
-            return None
-        seq: list[int] = []
-        covered = 0
-        r = length
-        while r:
+        found = memo.get(key)
+        if found is None:
+            found = -1
             for i, m in enumerate(masks):
-                if m & ~covered and feasible(covered | m, r - 1):
-                    seq.append(i)
-                    covered |= m
-                    r -= 1
+                if m & uncovered:
+                    child = covered | m
+                    if (child == universe) if r == 1 else first(child, r - 1) >= 0:
+                        found = i
+                        break
+            memo[key] = found
+        return found
+
+    witnesses: dict[int, list[int]] = {}
+    try:
+        for length in lengths:
+            # a walk that takes its first step always completes the cover
+            seq: list[int] = []
+            covered = 0
+            for r in range(length, 0, -1):
+                i = first(covered, r)
+                if i < 0:
                     break
-        return seq
+                seq.append(i)
+                covered |= masks[i]
+            if covered == universe and len(seq) == length:
+                witnesses[length] = seq
     finally:
-        feasible = None  # the closure refers to itself; free the table now
+        first = None  # the closure refers to itself; free the table now
+    return witnesses
 
 
 def game_cover_value(masks, universe):

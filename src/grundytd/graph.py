@@ -127,31 +127,8 @@ class StructuralReport:
 def structural_report(g: Graph) -> StructuralReport:
     """Compute the structural facts the characterizations branch on."""
     n = g.n
-    # BFS for connectivity and 2-coloring at once.  Isolated vertices get
-    # color 0; a graph is bipartite iff no edge joins equal colors.
-    color = [-1] * n
-    connected = True
-    bipartite = True
-    for start in range(n):
-        if color[start] != -1:
-            continue
-        if start != 0:
-            connected = False
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in bits(g.adj[u]):
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    bipartite = False
-    partition = None
-    if bipartite:
-        side0 = tuple(v for v in range(n) if color[v] == 0)
-        side1 = tuple(v for v in range(n) if color[v] == 1)
-        partition = (side0, side1)
+    connected = is_connected(g)
+    partition = bipartition(g)
 
     degs = [g.degree(v) for v in range(n)]
     regular = degs[0] if all(d == degs[0] for d in degs) else None
@@ -166,7 +143,7 @@ def structural_report(g: Graph) -> StructuralReport:
     is_tree = connected and g.edge_count() == n - 1
     return StructuralReport(
         connected=connected,
-        bipartite=bipartite,
+        bipartite=partition is not None,
         bipartition=partition,
         regular_degree=regular,
         open_twin_pairs=twins,
@@ -182,6 +159,32 @@ def strong_support_vertices(g: Graph) -> tuple[int, ...]:
         if g.degree(v) == 1:
             leaves |= 1 << v
     return tuple(v for v in range(g.n) if _popcount(g.adj[v] & leaves) >= 2)
+
+
+def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The two colour classes of a 2-colouring, or None if g is not bipartite.
+
+    Each component's lowest vertex gets colour 0, so isolated vertices land
+    on the first side.
+    """
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for v in bits(g.adj[u]):
+                if color[v] == -1:
+                    color[v] = color[u] ^ 1
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return None
+    return (
+        tuple(v for v in range(g.n) if color[v] == 0),
+        tuple(v for v in range(g.n) if color[v] == 1),
+    )
 
 
 def is_connected(g: Graph) -> bool:

@@ -152,7 +152,7 @@ def grundy_transversal_number(h: Hypergraph, cap: int | None = None):
 def covering_sequence_of_length(h: Hypergraph, length: int, cap: int | None = None):
     """A complete covering sequence of exactly the given length, or None."""
     ensure_capacity(h.n_vertices, cap, "ground size")
-    seq = engine.sequence_of_length(list(h.edges), h.full_mask, length)
+    seq = engine.sequence_of_length(list(h.edges), h.full_mask, (length,)).get(length)
     if seq is None:
         return None
     certify(

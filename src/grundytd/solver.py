@@ -187,38 +187,40 @@ def _matching_ok(g: Graph, pairs, semistrong: bool) -> bool:
     return True
 
 
-def total_dominating_sequence_of_length(g: Graph, length: int, cap: int | None = None):
-    """A total dominating sequence of exactly the given length, or None."""
+def _sequences_of_lengths(g: Graph, lengths, cap: int | None):
+    """A certified total dominating sequence of each wanted length that has one."""
     _require_no_isolated(g, "a total dominating sequence")
     ensure_capacity(g.n, cap)
-    seq = engine.sequence_of_length(g.open_masks(), g.full_mask, length)
-    if seq is None:
-        return None
-    certify(
-        is_total_dominating_sequence(g, seq) and len(seq) == length,
-        "fixed-length sequence",
-    )
-    return tuple(seq)
+    found = engine.sequence_of_length(g.open_masks(), g.full_mask, lengths)
+    for length, seq in found.items():
+        certify(
+            is_total_dominating_sequence(g, seq) and len(seq) == length,
+            "fixed-length sequence",
+        )
+    return {length: tuple(seq) for length, seq in found.items()}
+
+
+def total_dominating_sequence_of_length(g: Graph, length: int, cap: int | None = None):
+    """A total dominating sequence of exactly the given length, or None."""
+    return _sequences_of_lengths(g, (length,), cap).get(length)
 
 
 def interpolation_witnesses(g: Graph, rep: InvariantReport, cap: int | None = None):
     """One total dominating sequence for every achievable length.
 
-    rep is a report on g holding gamma_t and gamma_grt.  Every length
-    between the two inclusive has a witness; a gap would contradict a
-    proven interpolation property, so a missing length raises
-    InvariantViolation.
+    rep is a report on g holding gamma_t and gamma_grt.  One search finds a
+    witness for every length between the two inclusive, and each witness is
+    certified.  A gap would contradict a proven interpolation property, so
+    a missing length raises InvariantViolation.
     """
     lo, hi = rep.value("gamma_t"), rep.value("gamma_grt")
-    out: dict[int, tuple[int, ...]] = {}
+    out = _sequences_of_lengths(g, range(lo, hi + 1), cap)
     for length in range(lo, hi + 1):
-        seq = total_dominating_sequence_of_length(g, length, cap)
-        if seq is None:
+        if length not in out:
             raise InvariantViolation(
                 f"no total dominating sequence of length {length} although "
                 f"{lo} and {hi} are both achievable"
             )
-        out[length] = seq
     return out
 
 

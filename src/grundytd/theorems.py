@@ -35,11 +35,11 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    bipartition,
     bits,
     induced_subgraph,
     is_connected,
     strong_support_vertices,
-    structural_report,
 )
 from .sequences import check_legal, greedy_extend, is_total_dominating_sequence
 from .smallgraphs import canonical_form
@@ -461,6 +461,16 @@ class RegularConstruction:
     meets_bound: bool
 
 
+def regular_lower_bound(n: int, k: int, bipartite: bool) -> Fraction:
+    """The proven lower bound on gamma_grt of a connected k-regular graph of
+    order n other than K_{k,k}, for k >= 3: (n + ceil(k/2) - 2)/(k - 1), or
+    (n + 2 ceil(k/2) - 4)/(k - 1) when the graph is bipartite."""
+    half = (k + 1) // 2
+    if bipartite:
+        return Fraction(n + 2 * half - 4, k - 1)
+    return Fraction(n + half - 2, k - 1)
+
+
 def _seed_pair(g: Graph, pool) -> tuple[int, int]:
     """Non-twin pair with the most common neighbors (>= 1), lowest ids."""
     best = None
@@ -493,36 +503,35 @@ def regular_greedy_sequence(g: Graph) -> RegularConstruction:
     concatenate.  Balanced complete bipartite graphs are outside the
     construction's domain, as are k < 3 and disconnected inputs.
     """
-    st = structural_report(g)
-    if not st.connected:
+    if not is_connected(g):
         raise DomainError("construction needs a connected graph")
-    k = st.regular_degree
-    if k is None or k < 3:
+    k = g.max_degree()
+    if g.min_degree() != k or k < 3:
         raise DomainError("construction needs a k-regular graph with k >= 3")
     if is_balanced_complete_bipartite(g, k):
         raise DomainError("balanced complete bipartite graphs are excluded")
 
-    if not st.bipartite:
+    sides = bipartition(g)
+    if sides is None:
         res = greedy_extend(g, _seed_pair(g, range(g.n)))
         if not res.complete:
             raise InvariantViolation("extension stalled on a non-bipartite input")
         seq = res.sequence
-        bound = Fraction(g.n + (k + 1) // 2 - 2, k - 1)
     else:
-        side_a, side_b = st.bipartition
+        side_a, side_b = sides
         part_a = greedy_extend(g, _seed_pair(g, side_a), restrict_to=side_a, target=side_b)
         part_b = greedy_extend(g, _seed_pair(g, side_b), restrict_to=side_b, target=side_a)
         if not (part_a.complete and part_b.complete):
             raise InvariantViolation("one-sided extension stalled")
         seq = part_a.sequence + part_b.sequence
-        bound = Fraction(g.n + 2 * ((k + 1) // 2) - 4, k - 1)
 
     if not is_total_dominating_sequence(g, seq):
         raise InvariantViolation("constructed sequence failed verification")
+    bound = regular_lower_bound(g.n, k, sides is not None)
     return RegularConstruction(
         sequence=tuple(seq),
         k=k,
-        bipartite=st.bipartite,
+        bipartite=sides is not None,
         bound=bound,
         meets_bound=Fraction(len(seq)) >= bound,
     )
@@ -584,8 +593,6 @@ def bound_report(g: Graph, rep: solver.InvariantReport) -> BoundReport:
         k = high  # g is k-regular
         is_kkk = is_balanced_complete_bipartite(g, k)
         if k >= 3 and not is_kkk:
-            le("regular: n/(k-1) <= gamma_grt", Fraction(n, k - 1), v["gamma_grt"])
-            if k >= 5:
-                strict = Fraction(n, k - 1) < v["gamma_grt"]
-                check("regular: strict above n/(k-1) for k >= 5", strict)
+            bound = regular_lower_bound(n, k, bipartition(g) is not None)
+            le("regular: k-regular lower bound <= gamma_grt", bound, v["gamma_grt"])
     return BoundReport(tuple(checks))

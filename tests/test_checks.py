@@ -6,6 +6,7 @@ import pytest
 
 from grundytd import (
     Graph,
+    checks,
     cli,
     connected_cubic_graphs,
     connected_graphs,
@@ -15,6 +16,7 @@ from grundytd import (
     random_hypergraph,
     random_tree,
     solver,
+    theorems,
 )
 from grundytd.checks import REGISTRY, SUITES, TOKENS, run_checks
 
@@ -193,6 +195,10 @@ def test_regular_sweep_calls_no_invariant_solver(capsys, monkeypatch):
         raise AssertionError("an invariant solver ran")
 
     monkeypatch.setattr(solver, "compute_report", refuse)
+    # the checker and the construction read connectivity, degrees and the
+    # bipartition directly
+    for module in (checks, theorems):
+        monkeypatch.setattr(module, "structural_report", refuse, raising=False)
     # every invariant solver runs one of these search kernels
     for kernel in (
         "min_cover",

@@ -179,6 +179,18 @@ def test_neighborhood_hypergraph_of_p3():
     assert grundy_covering_number(h)[0] == 2 == grundy_total_domination_number(path(3))[0]
 
 
+def test_neighborhood_incidence_graph_doubles_the_value(connected_upto_7):
+    # Thm 8.3 on the open-neighbourhood hypergraph of G, whose incidence
+    # graph is the bipartite double cover G x K2: vertex v is (v, 0), and the
+    # hyperedge N(v) is (v, 1)
+    for g in connected_upto_7:
+        inc = incidence_graph(open_neighborhood_hypergraph(g))
+        cover = {(u, g.n + v) for u, v in g.edges()} | {(v, g.n + u) for u, v in g.edges()}
+        assert set(inc.edges()) == cover
+        value = grundy_total_domination_number(g)[0]
+        assert grundy_total_domination_number(inc)[0] == 2 * value, g
+
+
 def test_neighborhood_hypergraph_rejects_isolated():
     from grundytd import Graph
 
@@ -202,7 +214,7 @@ def test_invalid_edge_cover_witness_raises_invariant_violation(monkeypatch):
 
 def test_invalid_fixed_length_witness_raises_invariant_violation(monkeypatch):
     # edge 2 covers both vertices, so edge 0 after it covers nothing new
-    monkeypatch.setattr(engine, "sequence_of_length", lambda masks, universe, length: [2, 0])
+    monkeypatch.setattr(engine, "sequence_of_length", lambda masks, universe, lengths: {2: [2, 0]})
     with pytest.raises(InvariantViolation, match="fixed-length covering certificate"):
         covering_sequence_of_length(three_edge_h(), 2)
 

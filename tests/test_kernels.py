@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 from grundytd import cycle, engine, structural_report
+from grundytd.sequences import check_cover_sequence
 from conftest import corpus
 
 
@@ -107,11 +108,24 @@ def test_longest_sequence_on_split_random_families_matches_unpruned():
         assert engine.max_cover_sequence(masks, universe) == want, masks
 
 
+def test_sequence_of_length_finds_exactly_the_lengths_of_all_sequences():
+    # the oracle walks every legal sequence; the wanted lengths run one past
+    # each end, and one table serves them all
+    for n in range(2, 7):
+        for g in corpus(n):
+            for mode, masks in (("open", g.open_masks()), ("closed", g.closed_masks())):
+                found = engine.sequence_of_length(masks, g.full_mask, range(-1, n + 2))
+                assert list(found) == sorted(oracles.sequence_lengths(g, mode)), g
+                for length, seq in found.items():
+                    assert len(seq) == length
+                    assert check_cover_sequence(masks, g.full_mask, seq).complete
+
+
 _C16 = cycle(16)
 _KERNEL_CALLS = {
     "max_cover_sequence": lambda: engine.max_cover_sequence(_C16.open_masks(), _C16.full_mask),
     "game_cover_value": lambda: engine.game_cover_value(_C16.open_masks(), _C16.full_mask),
-    "sequence_of_length": lambda: engine.sequence_of_length(_C16.open_masks(), _C16.full_mask, 12),
+    "sequence_of_length": lambda: engine.sequence_of_length(_C16.open_masks(), _C16.full_mask, [12]),
     "min_cover": lambda: engine.min_cover(_C16.open_masks(), _C16.full_mask),
     "max_minimal_cover": lambda: engine.max_minimal_cover(_C16.open_masks(), _C16.full_mask),
     "max_matching": lambda: engine.max_matching(_C16.open_masks(), 16, True),

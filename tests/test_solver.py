@@ -87,6 +87,15 @@ def test_c6_interpolation_single_length():
     assert sorted(_interpolation(cycle(6))) == [4]
 
 
+def test_interpolation_witnesses_are_the_single_length_witnesses(connected_upto_6):
+    for g in connected_upto_6:
+        rep = compute_report(g, ("gamma_t", "gamma_grt"))
+        wits = interpolation_witnesses(g, rep)
+        assert list(wits) == list(range(rep.value("gamma_t"), rep.value("gamma_grt") + 1))
+        for length, seq in wits.items():
+            assert seq == total_dominating_sequence_of_length(g, length), g
+
+
 def test_sequence_of_exact_length():
     seq = total_dominating_sequence_of_length(path(5), 3)
     assert len(seq) == 3

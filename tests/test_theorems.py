@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from grundytd import (
     petersen,
     random_tree,
     regular_greedy_sequence,
+    regular_lower_bound,
     replay_family_t_certificate,
     star,
     complete,
@@ -313,20 +315,34 @@ def test_bound_report_names_the_checks():
     names = {c.name for c in rep.checks}
     assert "gamma_t <= Gamma_t" in names
     assert "gamma_grt <= 2*gamma_gr" in names
-    assert "regular: n/(k-1) <= gamma_grt" in names
+    assert "regular: k-regular lower bound <= gamma_grt" in names
     assert rep.violations == ()
 
 
 def test_bound_report_checks_regular_bounds_on_connected_graphs_only():
     k4 = complete(4)
     two_k4 = Graph.from_edges(8, k4.edges() + [(u + 4, v + 4) for u, v in k4.edges()])
-    regular = "regular: n/(k-1) <= gamma_grt"
+    regular = "regular: k-regular lower bound <= gamma_grt"
     floor = "gamma_grt = n/max_degree only for balanced complete bipartite"
     one = bound_report(k4, compute_report(k4))
     assert {regular, floor} <= {c.name for c in one.checks}
     two = bound_report(two_k4, compute_report(two_k4))
     assert not {regular, floor} & {c.name for c in two.checks}
     assert one.violations == two.violations == ()
+
+
+def test_bound_report_checks_the_abstracts_regular_bound():
+    # K7,7 minus a perfect matching: n = 14, 6-regular and bipartite, so the
+    # bound is (14 + 2*3 - 4)/5 = 16/5, above n/(k-1) = 14/5
+    g = gm_graph(7)
+    assert regular_lower_bound(14, 6, True) == Fraction(16, 5)
+    rep = compute_report(g)
+    assert rep.value("gamma_grt") == 4
+    assert bound_report(g, rep).violations == ()
+    results = dict(rep.results)
+    results["gamma_grt"] = dataclasses.replace(results["gamma_grt"], value=3)
+    doctored = dataclasses.replace(rep, results=results)
+    assert "regular: k-regular lower bound <= gamma_grt" in bound_report(g, doctored).violations
 
 
 def test_balanced_bipartite_equality_case():

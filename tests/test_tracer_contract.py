@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         (
             ["sweep", "connected:4", "--json"],
-            {"sequences.recheck", "solver.interpolation_witnesses",
+            {"sequences.recheck", "solver.interpolation_witnesses", "engine.sequence_of_length",
              "hypergraph.grundy_covering_number", "checks.graph-interpolation"},
         ),
         (
