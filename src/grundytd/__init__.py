@@ -28,7 +28,6 @@ from .formats import (
 )
 from .graph import (
     Graph,
-    StructuralReport,
     bipartition,
     build_family,
     complete,
@@ -36,13 +35,11 @@ from .graph import (
     complete_multipartite,
     cycle,
     gm_graph,
-    induced_subgraph,
     k_kk,
     path,
     petersen,
     spider,
     star,
-    structural_report,
     subset_bipartite,
     tree_from_edges,
 )

@@ -303,7 +303,7 @@ def hypergraph_report(h: Hypergraph, keys=HYPERGRAPH_KEYS, cap=None) -> Invarian
             solve = grundy_covering_number
         else:
             solve = grundy_transversal_number
-        results[key] = solver.timed_result(key, solve, h, cap)
+        results[key] = solver.timed_result(solve, h, cap)
     return InvariantReport(h.n_vertices, len(h.edges), results)
 
 

@@ -10,7 +10,7 @@ carry 1-based line numbers.
 from __future__ import annotations
 
 from .errors import ParameterError, ParseError
-from .graph import Graph
+from .graph import Graph, bits
 
 # -- graph6 -----------------------------------------------------------------
 
@@ -145,13 +145,7 @@ def graph_from_edge_list(text: str) -> Graph:
 def hypergraph_to_text(h) -> str:
     lines = [f"{h.n_vertices} {len(h.edges)}"]
     for mask in h.edges:
-        members = []
-        m = mask
-        while m:
-            low = m & -m
-            members.append(str(low.bit_length() - 1))
-            m ^= low
-        lines.append(" ".join(members))
+        lines.append(" ".join(str(x) for x in bits(mask)))
     return "\n".join(lines) + "\n"
 
 

@@ -14,10 +14,6 @@ from dataclasses import dataclass
 from .errors import ParameterError
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def bits(mask: int):
     """Yield the set bit positions of mask in ascending order."""
     while mask:
@@ -79,13 +75,13 @@ class Graph:
         return [self.adj[v] | (1 << v) for v in range(self.n)]
 
     def degree(self, v: int) -> int:
-        return _popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def min_degree(self) -> int:
-        return min(_popcount(row) for row in self.adj)
+        return min(row.bit_count() for row in self.adj)
 
     def max_degree(self) -> int:
-        return max(_popcount(row) for row in self.adj)
+        return max(row.bit_count() for row in self.adj)
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -95,7 +91,7 @@ class Graph:
         return out
 
     def edge_count(self) -> int:
-        return sum(_popcount(row) for row in self.adj) // 2
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -107,58 +103,13 @@ class Graph:
 # -- structural predicates ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructuralReport:
-    """Connectivity, bipartition, regularity, twins, supports, treeness."""
-
-    connected: bool
-    bipartite: bool
-    bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None
-    regular_degree: int | None
-    open_twin_pairs: tuple[tuple[int, int], ...]
-    strong_support_vertices: tuple[int, ...]
-    is_tree: bool
-
-    @property
-    def open_twin_free(self) -> bool:
-        return not self.open_twin_pairs
-
-
-def structural_report(g: Graph) -> StructuralReport:
-    """Compute the structural facts the characterizations branch on."""
-    n = g.n
-    connected = is_connected(g)
-    partition = bipartition(g)
-
-    degs = [g.degree(v) for v in range(n)]
-    regular = degs[0] if all(d == degs[0] for d in degs) else None
-
-    twins = tuple(
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if g.adj[u] == g.adj[v]
-    )
-
-    is_tree = connected and g.edge_count() == n - 1
-    return StructuralReport(
-        connected=connected,
-        bipartite=partition is not None,
-        bipartition=partition,
-        regular_degree=regular,
-        open_twin_pairs=twins,
-        strong_support_vertices=strong_support_vertices(g),
-        is_tree=is_tree,
-    )
-
-
 def strong_support_vertices(g: Graph) -> tuple[int, ...]:
     """The vertices adjacent to two or more leaves."""
     leaves = 0
     for v in range(g.n):
         if g.degree(v) == 1:
             leaves |= 1 << v
-    return tuple(v for v in range(g.n) if _popcount(g.adj[v] & leaves) >= 2)
+    return tuple(v for v in range(g.n) if (g.adj[v] & leaves).bit_count() >= 2)
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -197,29 +148,6 @@ def is_connected(g: Graph) -> bool:
         frontier = nxt & ~seen
         seen |= nxt
     return seen == g.full_mask
-
-
-def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the given vertex set.
-
-    Returns (subgraph, kept) where kept[i] is the original id of new vertex i
-    (ascending original order).
-    """
-    kept = tuple(sorted(set(vertices)))
-    if not kept:
-        raise ParameterError("induced subgraph needs at least one vertex")
-    if kept[0] < 0 or kept[-1] >= g.n:
-        raise ParameterError("vertex out of range for induced subgraph")
-    index = {orig: i for i, orig in enumerate(kept)}
-    rows = []
-    for orig in kept:
-        row = 0
-        for u in bits(g.adj[orig]):
-            j = index.get(u)
-            if j is not None:
-                row |= 1 << j
-        rows.append(row)
-    return Graph(len(kept), tuple(rows)), kept
 
 
 # -- named families --------------------------------------------------------

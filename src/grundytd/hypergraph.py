@@ -173,7 +173,7 @@ def transversal_to_covering(h: Hypergraph, vertex_seq) -> tuple[int, ...]:
     report = _transversal(h, vertex_seq)
     if not report.legal:
         raise PreconditionError("input is not a legal transversal sequence")
-    picked = tuple(new[0] for new in reversed(report.new_per_step))
+    picked = tuple(next(bits(new)) for new in reversed(report.footprints))
     if not is_legal_covering_sequence(h, picked):
         raise InvariantViolation("reversal construction produced an illegal sequence")
     return picked
@@ -188,7 +188,7 @@ def covering_to_transversal(h: Hypergraph, edge_seq) -> tuple[int, ...]:
     report = _covering(h, edge_seq)
     if not report.legal:
         raise PreconditionError("input is not a legal covering sequence")
-    picked = tuple(new[0] for new in reversed(report.new_per_step))
+    picked = tuple(next(bits(new)) for new in reversed(report.footprints))
     if not is_legal_transversal_sequence(h, picked):
         raise InvariantViolation("reversal construction produced an illegal sequence")
     return picked

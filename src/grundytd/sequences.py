@@ -59,16 +59,14 @@ def certify(ok: bool, what: str) -> None:
 class LegalityReport:
     """Outcome of checking one sequence.
 
-    footprinter[u] is the 0-based position of the entry that first covered
-    element u of the universe (None while uncovered); new_per_step lists,
-    per legal position, the elements it footprinted in ascending order.
-    Both describe the longest legal prefix when the sequence is illegal.
+    footprints[pos] is the mask of the universe elements that the entry at
+    position pos covered first; there is one mask per legal entry, so for
+    an illegal sequence they describe the longest legal prefix.
     """
 
     legal: bool
     first_violation: int | None
-    footprinter: tuple[int | None, ...]
-    new_per_step: tuple[tuple[int, ...], ...]
+    footprints: tuple[int, ...]
     dominated_mask: int
     complete: bool
 
@@ -81,8 +79,7 @@ def check_cover_sequence(masks, universe: int, seq, what: str = "vertex") -> Leg
     is covered at the end.
     """
     entries = _distinct(seq, len(masks), what)
-    footprinter: list[int | None] = [None] * universe.bit_length()
-    new_per_step: list[tuple[int, ...]] = []
+    footprints: list[int] = []
     rest = universe
     violation: int | None = None
     for pos, i in enumerate(entries):
@@ -90,16 +87,12 @@ def check_cover_sequence(masks, universe: int, seq, what: str = "vertex") -> Leg
         if not new:
             violation = pos
             break
-        stamped = tuple(bits(new))
-        new_per_step.append(stamped)
-        for u in stamped:
-            footprinter[u] = pos
+        footprints.append(new)
         rest ^= new
     return LegalityReport(
         legal=violation is None,
         first_violation=violation,
-        footprinter=tuple(footprinter),
-        new_per_step=tuple(new_per_step),
+        footprints=tuple(footprints),
         dominated_mask=universe ^ rest,
         complete=violation is None and not rest,
     )
@@ -218,11 +211,11 @@ def prune_to_closed(g: Graph, seq) -> list[int]:
         raise PreconditionError("input must be a total dominating sequence")
     entries = list(seq)
     kept: list[int] = []
-    for pos, v in enumerate(entries):
-        earlier = set(entries[:pos])
-        if all(u in earlier for u in report.new_per_step[pos]):
-            continue
-        kept.append(v)
+    earlier = 0
+    for v, new in zip(entries, report.footprints):
+        if new & ~earlier:
+            kept.append(v)
+        earlier |= 1 << v
     if len(kept) * 2 < len(entries):
         raise InvariantViolation(
             "pruning removed more than half the entries, which is impossible"

@@ -239,7 +239,6 @@ _DISPATCH = {
 
 @dataclass(frozen=True)
 class InvariantResult:
-    key: str
     value: int
     witness: tuple
     micros: int
@@ -265,11 +264,11 @@ class InvariantReport:
         return {"n": self.n, "edges": self.edge_count, "invariants": inv}
 
 
-def timed_result(key: str, solve, item, cap: int | None = None) -> InvariantResult:
+def timed_result(solve, item, cap: int | None = None) -> InvariantResult:
     """Run solve(item, cap), which returns (value, witness), and time it."""
     t0 = time.perf_counter_ns()
     value, witness = solve(item, cap)
-    return InvariantResult(key, value, witness, (time.perf_counter_ns() - t0) // 1000)
+    return InvariantResult(value, witness, (time.perf_counter_ns() - t0) // 1000)
 
 
 def compute_report(g: Graph, keys=None, cap: int | None = None) -> InvariantReport:
@@ -281,5 +280,5 @@ def compute_report(g: Graph, keys=None, cap: int | None = None) -> InvariantRepo
         unknown = [k for k in keys if k not in _DISPATCH]
         if unknown:
             raise ParameterError(f"unknown invariants: {unknown}")
-    results = {key: timed_result(key, _DISPATCH[key], g, cap) for key in keys}
+    results = {key: timed_result(_DISPATCH[key], g, cap) for key in keys}
     return InvariantReport(g.n, g.edge_count(), results)

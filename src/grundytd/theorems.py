@@ -37,7 +37,6 @@ from .graph import (
     Graph,
     bipartition,
     bits,
-    induced_subgraph,
     is_connected,
     strong_support_vertices,
 )
@@ -101,13 +100,12 @@ def pair_labeling_from_sequence(g: Graph, seq) -> PairLabeling:
     if not (report.legal and report.complete and len(seq) == g.n):
         raise PreconditionError("need a total dominating sequence of length n")
     partner: dict[int, int] = {}
-    for pos, v in enumerate(seq):
-        stamped = report.new_per_step[pos]
-        if len(stamped) != 1:
+    for v, stamped in zip(seq, report.footprints):
+        if stamped.bit_count() != 1:
             raise InvariantViolation(
                 "an entry of a length-n sequence footprints more than one vertex"
             )
-        partner[v] = stamped[0]
+        partner[v] = stamped.bit_length() - 1
     for v, u in partner.items():
         if partner.get(u) != v:
             raise InvariantViolation("footprinting is not an involution")
@@ -345,14 +343,14 @@ def is_in_family_t(t: Graph) -> FamilyTCertificate | None:
     A member larger than an edge always came from attaching a path a-b-c to
     a support vertex; peeling tries every leaf chain c-b-a-v with
     deg(b) = deg(a) = 2 whose anchor v still supports a leaf afterwards,
-    and recurses on the smaller tree.  Failures are memoized by canonical
-    form so overlapping candidate peels stay cheap.
+    and recurses on the smaller tree.  Failures are memoized by vertex set
+    so overlapping candidate peels stay cheap.
     """
     _require_tree(t)
     if t.n % 3 != 2:
         return None
 
-    dead: set[bytes] = set()
+    dead: set[int] = set()
 
     def peel(present: int) -> list | None:
         """Returns the step list (attach order) for the sub-tree, or None."""
@@ -364,7 +362,8 @@ def is_in_family_t(t: Graph) -> FamilyTCertificate | None:
             if not t.has_edge(u, v):
                 return None
             return [("base", (u, v))]
-        key = None
+        if present in dead:
+            return None
         deg = {v: (t.adj[v] & present).bit_count() for v in bits(present)}
         for c in bits(present):
             if deg[c] != 1:
@@ -386,17 +385,11 @@ def is_in_family_t(t: Graph) -> FamilyTCertificate | None:
                 for w in bits(t.adj[v] & smaller)
             ):
                 continue
-            if key is None:
-                sub, _ = induced_subgraph(t, list(bits(present)))
-                key = canonical_form(sub.adj, sub.n)
-                if key in dead:
-                    return None
             steps = peel(smaller)
             if steps is not None:
                 steps.append((v, (a, b, c)))
                 return steps
-        if key is not None:
-            dead.add(key)
+        dead.add(present)
         return None
 
     steps = peel(t.full_mask)
@@ -414,8 +407,6 @@ def is_in_family_t(t: Graph) -> FamilyTCertificate | None:
 class TreeBoundReport:
     """How a tree sits relative to the 2(n+1)/3 lower bound."""
 
-    n: int
-    strong_support_vertices: tuple[int, ...]
     applicable: bool
     bound: Fraction | None
     gamma_grt: int
@@ -436,17 +427,15 @@ def tree_bound_applies(t: Graph) -> bool:
 
 def tree_bound_report(t: Graph, rep: solver.InvariantReport) -> TreeBoundReport:
     """Evaluate the bound on a tree, reading gamma_grt from its report."""
-    _require_tree(t)
-    strong = strong_support_vertices(t)
+    applicable = tree_bound_applies(t)  # raises DomainError unless t is a tree
     value = rep.value("gamma_grt")
-    applicable = t.n >= 2 and not strong
     if not applicable:
-        return TreeBoundReport(t.n, strong, False, None, value, None, None, None)
+        return TreeBoundReport(False, None, value, None, None, None)
     bound = Fraction(2 * (t.n + 1), 3)
     meets = value >= bound
     equality = value == bound
     cert = is_in_family_t(t) if equality else None
-    return TreeBoundReport(t.n, strong, True, bound, value, meets, equality, cert)
+    return TreeBoundReport(True, bound, value, meets, equality, cert)
 
 
 # -- regular graphs: the two-phase greedy construction -----------------------------

@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from grundytd import connected_cubic_graphs, connected_graphs
+from grundytd import Graph, connected_cubic_graphs, connected_graphs
 
 
 @functools.lru_cache(maxsize=None)
@@ -13,6 +13,13 @@ def corpus(n: int):
 @functools.lru_cache(maxsize=None)
 def cubic_corpus(n: int):
     return tuple(connected_cubic_graphs(n))
+
+
+def relabeled(g, rng):
+    """g with its vertices renumbered by a random permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ import pytest
 import oracles
 from conftest import corpus, cubic_corpus
 from grundytd import (
+    bipartition,
     build_family,
     bound_report,
     check_legal,
@@ -40,7 +41,6 @@ from grundytd import (
     random_tree,
     regular_greedy_sequence,
     star,
-    structural_report,
     total_domination_number,
     transversal_to_covering,
     covering_to_transversal,
@@ -58,6 +58,7 @@ from grundytd.hypergraph import (
     is_legal_covering_sequence,
     is_legal_transversal_sequence,
 )
+from grundytd.theorems import is_balanced_complete_bipartite
 
 
 def announce(num, label, ok):
@@ -141,11 +142,10 @@ def _characterizations(graphs):
             return False, f"labeling mismatch on adj={g.adj}"
         if is_complete_multipartite(g) != (value == 2):
             return False, f"multipartite mismatch on adj={g.adj}"
-        rep = structural_report(g)
-        if rep.regular_degree is not None:
-            k = rep.regular_degree
+        k = g.min_degree()
+        if g.max_degree() == k:
             hits_floor = Fraction(value) == Fraction(g.n, k)
-            is_balanced = g.n == 2 * k and rep.bipartite and value == 2
+            is_balanced = g.n == 2 * k and bipartition(g) is not None and value == 2
             if hits_floor != is_balanced:
                 return False, f"degree-floor mismatch on adj={g.adj}"
     return True, ""
@@ -197,13 +197,8 @@ def test_criterion_6_regular_construction():
     items.append(petersen())
     tested = 0
     for g in items:
-        rep = structural_report(g)
-        if g.n == 2 * 3 and rep.bipartite and not structural_report(g).open_twin_free:
-            # the excluded balanced complete bipartite case
-            from grundytd import are_isomorphic
-
-            if are_isomorphic(g, k_kk(3)):
-                continue
+        if is_balanced_complete_bipartite(g, 3):
+            continue  # the excluded K3,3
         res = regular_greedy_sequence(g)
         tested += 1
         ok &= res.meets_bound

@@ -10,16 +10,15 @@ from grundytd import (
     complete_multipartite,
     cycle,
     gm_graph,
-    induced_subgraph,
     k_kk,
     path,
     petersen,
     spider,
     star,
-    structural_report,
     subset_bipartite,
     tree_from_edges,
 )
+from grundytd.graph import bipartition, is_connected, strong_support_vertices
 
 
 def edge_set(g):
@@ -50,23 +49,21 @@ def test_star_center_degree():
 
 def test_balanced_complete_bipartite_is_regular():
     g = k_kk(3)
-    rep = structural_report(g)
-    assert rep.regular_degree == 3
-    assert rep.bipartite
+    assert g.min_degree() == g.max_degree() == 3
+    assert bipartition(g) is not None
     # inside a part every pair shares its full neighborhood
-    assert not rep.open_twin_free
+    assert len(set(g.adj)) < g.n
 
 
 def test_star_strong_support():
-    rep = structural_report(star(4))
-    assert rep.strong_support_vertices == (0,)
+    assert strong_support_vertices(star(4)) == (0,)
 
 
 def test_path5_twin_free_no_strong_support():
-    rep = structural_report(path(5))
-    assert rep.is_tree
-    assert rep.open_twin_free
-    assert rep.strong_support_vertices == ()
+    g = path(5)
+    assert is_connected(g) and g.edge_count() == g.n - 1
+    assert len(set(g.adj)) == g.n  # no two vertices share a neighborhood
+    assert strong_support_vertices(g) == ()
 
 
 def test_spider_shape():
@@ -79,27 +76,24 @@ def test_spider_shape():
 
 def test_petersen_is_cubic_and_twin_free():
     g = petersen()
-    rep = structural_report(g)
     assert g.n == 10
-    assert rep.regular_degree == 3
-    assert not rep.bipartite
-    assert rep.open_twin_free
+    assert g.min_degree() == g.max_degree() == 3
+    assert bipartition(g) is None
+    assert len(set(g.adj)) == g.n
 
 
 def test_gm_graph_is_cubic_bipartite():
     g = gm_graph(4)
-    rep = structural_report(g)
     assert g.n == 8
-    assert rep.regular_degree == 3
-    assert rep.bipartite
+    assert g.min_degree() == g.max_degree() == 3
+    assert bipartition(g) is not None
 
 
 def test_subset_bipartite_dimensions():
     g = subset_bipartite(3)
     # 3 element vertices + (2^3 - 1) nonempty subset vertices? no: proper
     # nonempty subsets plus the full set handled per the family definition
-    rep = structural_report(g)
-    assert rep.bipartite
+    assert bipartition(g) is not None
     assert g.n == 15
 
 
@@ -107,24 +101,6 @@ def test_complete_multipartite_parts_sizes():
     g = complete_multipartite([2, 2, 3])
     assert g.n == 7
     assert len(edge_set(g)) == 2 * 2 + 2 * 3 + 2 * 3
-
-
-def test_induced_c5_minus_vertex_is_p4():
-    got, kept = induced_subgraph(cycle(5), [0, 1, 2, 3])
-    assert kept == (0, 1, 2, 3)
-    assert are_isomorphic(got, path(4))
-
-
-def test_induced_full_vertex_set_is_identity():
-    g = petersen()
-    got, _ = induced_subgraph(g, range(g.n))
-    assert are_isomorphic(got, g)
-
-
-def test_induced_pair_in_k4_is_edge():
-    got, _ = induced_subgraph(complete(4), [0, 1])
-    assert got.n == 2
-    assert edge_set(got) == {(0, 1)}
 
 
 def test_tree_from_edges_rejects_cycles():

@@ -10,6 +10,7 @@ from grundytd import (
     ParameterError,
     PreconditionError,
     SequenceError,
+    bipartition,
     covering_sequence_of_length,
     covering_to_transversal,
     cycle,
@@ -22,7 +23,6 @@ from grundytd import (
     open_neighborhood_hypergraph,
     path,
     random_hypergraph,
-    structural_report,
     transversal_to_covering,
 )
 from grundytd.hypergraph import (
@@ -151,14 +151,14 @@ def test_incidence_degrees_of_three_edge_example():
     assert inc.n == 5
     # ground side degrees then edge side degrees
     assert [inc.degree(v) for v in range(5)] == [2, 2, 1, 1, 2]
-    assert structural_report(inc).bipartite
+    assert bipartition(inc) is not None
 
 
 def test_incidence_always_bipartite():
     rng = random.Random(8)
     for _ in range(40):
         inc = incidence_graph(random_hypergraph(rng))
-        assert structural_report(inc).bipartite
+        assert bipartition(inc) is not None
 
 
 def test_incidence_doubling_on_example():

@@ -10,7 +10,7 @@ from operator import or_
 import pytest
 
 import oracles
-from grundytd import cycle, engine, structural_report
+from grundytd import bipartition, cycle, engine
 from grundytd.sequences import check_cover_sequence
 from conftest import corpus
 
@@ -66,7 +66,7 @@ def test_longest_sequence_on_bipartite_open_masks_matches_unpruned():
     compared = 0
     for n in range(2, 8):
         for g in corpus(n):
-            if not structural_report(g).bipartite:
+            if bipartition(g) is None:
                 continue
             masks, universe = g.open_masks(), g.full_mask
             assert len(engine._parts(masks, universe)) == 2

@@ -18,13 +18,12 @@ from grundytd import (
 import random
 
 
-def test_p4_open_sequence_footprinters():
+def test_p4_open_sequence_footprints():
     # 0-1-2-3 played as (0, 3, 1, 2): ends footprint their unique neighbors,
     # then the middle pair footprint the ends
     rep = check_legal(path(4), (0, 3, 1, 2), "open")
     assert rep.legal and rep.complete
-    assert rep.footprinter == (2, 0, 1, 3)
-    assert rep.new_per_step == ((1,), (2,), (0,), (3,))
+    assert rep.footprints == (0b0010, 0b0100, 0b0001, 0b1000)
 
 
 def test_k3_third_entry_illegal():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+from conftest import relabeled
 from grundytd import (
     CapacityError,
     Graph,
@@ -19,9 +20,9 @@ from grundytd import (
     random_connected_graph,
     random_hypergraph,
     random_tree,
-    structural_report,
 )
 from grundytd import smallgraphs
+from grundytd.graph import is_connected
 from grundytd.smallgraphs import canonical_form
 
 
@@ -73,9 +74,8 @@ def test_cubic_count_order_twelve():
 def test_cubic_graphs_are_cubic_and_connected():
     for n in (4, 6, 8):
         for g in connected_cubic_graphs(n):
-            rep = structural_report(g)
-            assert rep.connected
-            assert rep.regular_degree == 3
+            assert is_connected(g)
+            assert g.min_degree() == g.max_degree() == 3
 
 
 def test_odd_order_has_no_cubic_graphs():
@@ -112,8 +112,7 @@ def _check_regular_classes(n, k, count):
     graphs = connected_regular_graphs(n, k)
     assert len(graphs) == count
     for g in graphs:
-        rep = structural_report(g)
-        assert rep.connected and rep.regular_degree == k
+        assert is_connected(g) and g.min_degree() == g.max_degree() == k
     # canonical_form takes no part in the generator, so it is an oracle here
     assert len({graph_canonical_form(g) for g in graphs}) == count
 
@@ -165,24 +164,12 @@ def test_known_graphs_appear_in_enumeration():
     assert any(are_isomorphic(g, petersen()) for g in connected_cubic_graphs(10))
 
 
-def _relabeled(g, rng):
-    """g with its vertices renumbered by a random permutation."""
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    rows = [0] * g.n
-    for u in range(g.n):
-        for v in range(g.n):
-            if g.adj[u] >> v & 1:
-                rows[perm[u]] |= 1 << perm[v]
-    return Graph(g.n, tuple(rows))
-
-
 def test_canonical_form_isomorphism_invariance():
     # relabel a few graphs randomly; forms must not move
     rng = random.Random(9)
     for _ in range(40):
         g = random_connected_graph(rng.randint(2, 8), 0.45, rng)
-        h = _relabeled(g, rng)
+        h = relabeled(g, rng)
         assert graph_canonical_form(g) == graph_canonical_form(h)
         assert are_isomorphic(g, h)
 
@@ -192,7 +179,7 @@ def test_canonical_form_matches_unpruned_search_on_small_graphs():
     for n in range(1, 7):
         for g in connected_graphs(n):
             for _ in range(3):
-                h = _relabeled(g, rng)
+                h = relabeled(g, rng)
                 assert canonical_form(h.adj, n) == oracles.canonical_form_unpruned(h.adj, n)
 
 
@@ -201,7 +188,7 @@ def test_canonical_form_matches_unpruned_search_on_symmetric_graphs():
     graphs = [petersen(), k_kk(4), cycle(12), k_kk(3)]
     graphs += connected_cubic_graphs(8) + connected_cubic_graphs(10)
     for g in graphs:
-        h = _relabeled(g, rng)
+        h = relabeled(g, rng)
         assert canonical_form(h.adj, g.n) == oracles.canonical_form_unpruned(h.adj, g.n)
 
 
@@ -232,15 +219,14 @@ def test_random_tree_is_tree():
     for _ in range(50):
         n = rng.randint(2, 14)
         t = random_tree(n, rng)
-        rep = structural_report(t)
-        assert t.n == n and rep.is_tree and rep.connected
+        assert t.n == n and is_connected(t) and t.edge_count() == n - 1
 
 
 def test_random_connected_graph_is_connected():
     rng = random.Random(11)
     for _ in range(50):
         g = random_connected_graph(rng.randint(2, 10), 0.3, rng)
-        assert structural_report(g).connected
+        assert is_connected(g)
 
 
 def test_random_hypergraph_within_limits():

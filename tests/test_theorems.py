@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from conftest import corpus, relabeled
 from grundytd import (
     DomainError,
     Graph,
@@ -12,6 +13,7 @@ from grundytd import (
     PairLabeling,
     PreconditionError,
     are_isomorphic,
+    bipartition,
     bound_report,
     build_family,
     complete_multipartite_parts,
@@ -21,6 +23,7 @@ from grundytd import (
     family_t_members,
     find_pair_labeling,
     gm_graph,
+    graph_canonical_form,
     grundy_total_domination_number,
     is_complete_multipartite,
     is_in_family_t,
@@ -35,7 +38,6 @@ from grundytd import (
     replay_family_t_certificate,
     star,
     complete,
-    structural_report,
     tree_bound_report,
     tree_from_edges,
     tree_matching_sequence,
@@ -191,6 +193,27 @@ def test_certificates_replay_to_members():
             assert is_in_family_t(tree) is not None
 
 
+@pytest.mark.parametrize("n", [pytest.param(8, marks=pytest.mark.slow), 11, 14])
+def test_family_t_membership_matches_enumeration(n):
+    # every tree of order 8, or 200 random trees, plus every member; all
+    # relabelled so the peel does not meet the members' own vertex order
+    rng = random.Random(n)
+    members = family_t_members(n)
+    forms = {graph_canonical_form(t) for t, _ in members}
+    if n == 8:
+        trees = [g for g in corpus(8) if g.edge_count() == 7]
+    else:
+        trees = [random_tree(n, rng) for _ in range(200)]
+    trees += [t for t, _ in members]
+    found = 0
+    for t in trees:
+        t = relabeled(t, rng)
+        member = is_in_family_t(t) is not None
+        assert member == (graph_canonical_form(t) in forms), t.adj
+        found += member
+    assert len(members) <= found < len(trees)
+
+
 # ---------- tree lower bound ----------
 
 
@@ -272,7 +295,7 @@ def _check_regular_bound(graphs, k):
         if are_isomorphic(g, k_kk(k)):
             continue
         res = regular_greedy_sequence(g)
-        assert res.bipartite == structural_report(g).bipartite
+        assert res.bipartite == (bipartition(g) is not None)
         if res.bipartite:
             bipartite += 1
             bound = Fraction(g.n + 2 * half - 4, k - 1)

@@ -45,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
         (
             ["sweep", "trees:8:20", "--suite", "trees", "--json"],
             {"checks.tree-lower-bound", "checks.tree-matching-order",
-             "theorems.tree_bound_report"},
+             "theorems.tree_bound_report", "theorems.is_in_family_t"},
         ),
     ],
 )
