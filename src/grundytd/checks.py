@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from . import solver, theorems
 from .errors import GrundyTDError, InvariantViolation
 from .formats import graph_to_graph6
-from .graph import Graph, is_connected
+from .graph import Graph
 from .hypergraph import (
     Hypergraph,
     covering_sequence_of_length,
@@ -266,14 +266,14 @@ def check_tree_lower_bound(t: Graph, rep: InvariantReport, cap=None) -> CheckRes
 # -- regular checkers --------------------------------------------------------
 
 
-@_checker("regular-construction", "regular", "thm6.2")
+@_checker(
+    "regular-construction",
+    "regular",
+    "thm6.2",
+    applies=theorems.regular_bound_applies,
+)
 def check_regular_construction(g: Graph, rep=None, cap=None) -> CheckResult:
     """Greedy construction reaches the proven length on every regular input."""
-    k = g.max_degree()
-    if not is_connected(g) or g.min_degree() != k or k < 3:
-        return _untested("regular-construction")
-    if theorems.is_balanced_complete_bipartite(g, k):
-        return _untested("regular-construction")
     try:
         rc = theorems.regular_greedy_sequence(g)
     except InvariantViolation as exc:

@@ -10,16 +10,11 @@ carry 1-based line numbers.
 from __future__ import annotations
 
 from .errors import ParameterError, ParseError
-from .graph import Graph, bits
+from .graph import MAX_ORDER, Graph, bits
 
 # -- graph6 -----------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
-
-# Largest order graph6 can encode without its eight-byte length header; the
-# edge-list and hypergraph parsers reject larger headers too, before
-# allocating anything for them.
-MAX_ORDER = 258047
 
 
 def graph_to_graph6(g: Graph) -> str:

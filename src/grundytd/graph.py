@@ -1,17 +1,24 @@
 """Undirected graphs as bitset adjacency rows, plus the named families.
 
 Vertices are 0..n-1.  The adjacency of vertex v is a single int whose bit u
-is set iff uv is an edge; Python ints grow as needed, so nothing here caps n
-(the exact solvers apply their own size cap).  Graphs are immutable and
-hashable on (n, adjacency).
+is set iff uv is an edge; Python ints grow as needed, so the Graph class
+does not cap n (the exact solvers apply their own size cap); the named
+families stop at MAX_ORDER.  Graphs are immutable and hashable on
+(n, adjacency).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
+
+# Largest order graph6 can encode without its eight-byte length header.  The
+# parsers in formats and the named families below refuse larger orders
+# before allocating anything for them.
+MAX_ORDER = 258047
 
 
 def bits(mask: int):
@@ -153,21 +160,31 @@ def is_connected(g: Graph) -> bool:
 # -- named families --------------------------------------------------------
 
 
+def _check_order(n: int) -> None:
+    """Refuse a family member above MAX_ORDER, given its order computed from
+    the parameters alone."""
+    if n > MAX_ORDER:
+        raise ParameterError(f"family orders beyond {MAX_ORDER} not supported, got {n}")
+
+
 def path(n: int) -> Graph:
     if n < 1:
         raise ParameterError("path needs n >= 1")
+    _check_order(n)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ParameterError("cycle needs n >= 3")
+    _check_order(n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ParameterError("complete graph needs n >= 1")
+    _check_order(n)
     return Graph.from_edges(n, itertools.combinations(range(n), 2))
 
 
@@ -175,6 +192,7 @@ def star(leaves: int) -> Graph:
     """K_{1,leaves}: vertex 0 is the center."""
     if leaves < 1:
         raise ParameterError("star needs at least one leaf")
+    _check_order(leaves + 1)
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
@@ -183,6 +201,7 @@ def complete_multipartite(sizes) -> Graph:
     if not sizes or any(s < 1 for s in sizes):
         raise ParameterError("every part must have size >= 1")
     n = sum(sizes)
+    _check_order(n)
     part_of = []
     for p, s in enumerate(sizes):
         part_of.extend([p] * s)
@@ -220,6 +239,7 @@ def gm_graph(m: int, block_size: int = 1) -> Graph:
         raise ParameterError("block size must be >= 1")
     b = block_size
     n = 2 * m * b
+    _check_order(n)
     # X_i occupies [2*i*b, 2*i*b + b), Y_i the next b ids.
     edges = []
     for i in range(m):
@@ -241,6 +261,7 @@ def subset_bipartite(k: int) -> Graph:
     if k < 2:
         raise ParameterError("subset_bipartite needs k >= 2")
     ground = 2 * k - 1
+    _check_order(ground + math.comb(ground, k))
     subsets = list(itertools.combinations(range(ground), k))
     edges = []
     for j, s in enumerate(subsets):
@@ -253,6 +274,7 @@ def spider(k: int) -> Graph:
     """k triangles sharing one common vertex (vertex 0); order 2k+1."""
     if k < 1:
         raise ParameterError("spider needs k >= 1")
+    _check_order(2 * k + 1)
     edges = []
     for i in range(k):
         a, b = 1 + 2 * i, 2 + 2 * i
@@ -261,6 +283,7 @@ def spider(k: int) -> Graph:
 
 
 def tree_from_edges(n: int, edges) -> Graph:
+    _check_order(n)
     g = Graph.from_edges(n, edges)
     if g.edge_count() != n - 1 or not is_connected(g):
         raise ParameterError("edge list does not describe a tree")

@@ -64,7 +64,8 @@ def ensure_capacity(size: int, cap: int | None = None, what: str = "order"):
     if limit < 1:
         raise ParameterError("cap must be >= 1")
     if size > limit:
-        mib = 2 ** max(size - 20, 0)
+        # large estimates stay powers of two: str() refuses ints over 4,300 digits
+        mib = 2 ** max(size - 20, 0) if size < 100 else f"2^{size - 20}"
         raise CapacityError(
             f"instance {what} {size} exceeds the exact-search cap {limit}; "
             f"the state table can reach 2^{size} entries (~{mib} MiB). "

@@ -10,7 +10,10 @@ Everything here pairs a structural statement with an executable witness:
   * trees: value n iff a perfect matching exists, with an explicit
     children-before-parents sequence built from the matching.
   * trees without a strong support vertex: value >= 2(n+1)/3, equality
-    exactly for the leaf-path extension family below.
+    exactly for the leaf-path extension family below.  Peel lemma: every
+    valid peel (a leaf path c-b-a whose anchor still supports a leaf
+    afterwards) of a member of order >= 5 leaves a member, so one greedy
+    pass of peels decides membership.
   * connected k-regular graphs (k >= 3, not balanced complete bipartite):
     a two-phase greedy construction whose length meets the proven lower
     bound, with a separate bipartite variant.
@@ -259,28 +262,26 @@ class FamilyTCertificate:
 
 def replay_family_t_certificate(cert: FamilyTCertificate) -> Graph:
     """Rebuild the tree from its trace, validating every step."""
-    u0, v0 = cert.base
-    edges = [(u0, v0)]
-    vertices = {u0, v0}
+    rows: dict[int, list[int]] = {}
+    edges = []
+
+    def link(x: int, y: int) -> None:
+        rows.setdefault(x, []).append(y)
+        rows.setdefault(y, []).append(x)
+        edges.append((x, y))
+
+    link(*cert.base)
     for v, (a, b, c) in cert.steps:
-        if v not in vertices:
+        if v not in rows:
             raise PreconditionError(f"step attaches to missing vertex {v}")
-        if len({a, b, c} & vertices) != 0 or len({a, b, c}) != 3:
+        if len({a, b, c}) != 3 or not rows.keys().isdisjoint((a, b, c)):
             raise PreconditionError("step path vertices must be three fresh ids")
-        deg = {}
-        for x, y in edges:
-            deg[x] = deg.get(x, 0) + 1
-            deg[y] = deg.get(y, 0) + 1
-        has_leaf_neighbor = any(
-            deg.get(w, 0) == 1
-            for x, y in edges
-            for w in ((y,) if x == v else (x,) if y == v else ())
-        )
-        if not has_leaf_neighbor:
+        if all(len(rows[w]) != 1 for w in rows[v]):
             raise PreconditionError(f"step attaches to non-support vertex {v}")
-        edges += [(v, a), (a, b), (b, c)]
-        vertices |= {a, b, c}
-    if len(vertices) != cert.n or sorted(vertices) != list(range(cert.n)):
+        link(v, a)
+        link(a, b)
+        link(b, c)
+    if len(rows) != cert.n or sorted(rows) != list(range(cert.n)):
         raise PreconditionError("certificate does not label 0..n-1")
     return Graph.from_edges(cert.n, edges)
 
@@ -338,65 +339,51 @@ def family_t_members(n: int) -> list[tuple[Graph, FamilyTCertificate]]:
 
 
 def is_in_family_t(t: Graph) -> FamilyTCertificate | None:
-    """Membership test by peeling leaf paths, with backtracking.
+    """Membership test by one greedy pass of leaf-path peels.
 
-    A member larger than an edge always came from attaching a path a-b-c to
-    a support vertex; peeling tries every leaf chain c-b-a-v with
-    deg(b) = deg(a) = 2 whose anchor v still supports a leaf afterwards,
-    and recurses on the smaller tree.  Failures are memoized by vertex set
-    so overlapping candidate peels stay cheap.
+    A member larger than an edge came from attaching a path a-b-c to a
+    support vertex v.  A valid peel removes a leaf chain c-b-a-v with
+    deg(b) = deg(a) = 2 whose anchor v still supports a leaf afterwards;
+    the pass takes the valid peel with the smallest c until an edge is
+    left.  No backtracking is needed, by the peel lemma: every valid peel
+    of a member T of order >= 5 leaves a member.  By induction on the
+    order, let T come from the member T0 by attaching a'-b'-c' at v'.
+    Peeling a'-b'-c' leaves T0.  The only other peel that meets a'-b'-c' is
+    on T = P5, and both of its peels leave an edge.  Any other peel lies in
+    T0 and is valid there, so T0 minus a-b-c is a member; v' still
+    supports a leaf in it, and attaching a'-b'-c' at v' gives T minus
+    a-b-c.  So a member never runs out of peels, and a non-member never
+    reaches an edge, since the peels read backwards would build it.
     """
     _require_tree(t)
     if t.n % 3 != 2:
         return None
-
-    dead: set[int] = set()
-
-    def peel(present: int) -> list | None:
-        """Returns the step list (attach order) for the sub-tree, or None."""
-        size = present.bit_count()
-        if size == 2:
-            u = (present & -present).bit_length() - 1
-            rest = present & ~(1 << u)
-            v = (rest & -rest).bit_length() - 1
-            if not t.has_edge(u, v):
-                return None
-            return [("base", (u, v))]
-        if present in dead:
-            return None
-        deg = {v: (t.adj[v] & present).bit_count() for v in bits(present)}
+    present = t.full_mask
+    steps = []
+    while present.bit_count() > 2:
         for c in bits(present):
-            if deg[c] != 1:
-                continue
             b_mask = t.adj[c] & present
-            b = (b_mask & -b_mask).bit_length() - 1
-            if deg[b] != 2:
+            if b_mask.bit_count() != 1:
                 continue
+            b = b_mask.bit_length() - 1
             a_mask = t.adj[b] & present & ~(1 << c)
-            a = (a_mask & -a_mask).bit_length() - 1
-            if deg[a] != 2:
+            if a_mask.bit_count() != 1:
                 continue
+            a = a_mask.bit_length() - 1
             v_mask = t.adj[a] & present & ~(1 << b)
-            v = (v_mask & -v_mask).bit_length() - 1
-            smaller = present & ~((1 << a) | (1 << b) | (1 << c))
-            # v must still have a leaf neighbor after the peel
-            if not any(
-                (t.adj[w] & smaller).bit_count() == 1
-                for w in bits(t.adj[v] & smaller)
-            ):
+            if v_mask.bit_count() != 1:
                 continue
-            steps = peel(smaller)
-            if steps is not None:
-                steps.append((v, (a, b, c)))
-                return steps
-        dead.add(present)
-        return None
-
-    steps = peel(t.full_mask)
-    if steps is None:
-        return None
-    _, base = steps[0]
-    cert = FamilyTCertificate(t.n, base, tuple(steps[1:]))
+            v = v_mask.bit_length() - 1
+            rest = present & ~((1 << a) | (1 << b) | (1 << c))
+            if any((t.adj[w] & rest).bit_count() == 1 for w in bits(t.adj[v] & rest)):
+                break
+        else:
+            return None
+        steps.append((v, (a, b, c)))
+        present = rest
+    # peels keep the subtree connected, so the two vertices left are an edge
+    u, v = bits(present)
+    cert = FamilyTCertificate(t.n, (u, v), tuple(reversed(steps)))
     rebuilt = replay_family_t_certificate(cert)
     if rebuilt != t:
         raise InvariantViolation("family certificate replay mismatch")
@@ -460,6 +447,18 @@ def regular_lower_bound(n: int, k: int, bipartite: bool) -> Fraction:
     return Fraction(n + half - 2, k - 1)
 
 
+def regular_bound_applies(g: Graph) -> bool:
+    """Whether the k-regular bound covers g: connected, k-regular with k >= 3
+    and not K_{k,k}.  The cheapest tests run first."""
+    k = g.max_degree()
+    return (
+        k >= 3
+        and g.min_degree() == k
+        and is_connected(g)
+        and not is_balanced_complete_bipartite(g, k)
+    )
+
+
 def _seed_pair(g: Graph, pool) -> tuple[int, int]:
     """Non-twin pair with the most common neighbors (>= 1), lowest ids."""
     best = None
@@ -489,17 +488,14 @@ def regular_greedy_sequence(g: Graph) -> RegularConstruction:
     vertex adjacent to the dominated region that footprints as few new
     vertices as possible.  Bipartite: run the same process from each side
     separately (side A dominating side B, then the reverse) and
-    concatenate.  Balanced complete bipartite graphs are outside the
-    construction's domain, as are k < 3 and disconnected inputs.
+    concatenate.  The domain is that of the bound (regular_bound_applies).
     """
-    if not is_connected(g):
-        raise DomainError("construction needs a connected graph")
+    if not regular_bound_applies(g):
+        raise DomainError(
+            "construction needs a connected k-regular graph with k >= 3 "
+            "other than K_{k,k}"
+        )
     k = g.max_degree()
-    if g.min_degree() != k or k < 3:
-        raise DomainError("construction needs a k-regular graph with k >= 3")
-    if is_balanced_complete_bipartite(g, k):
-        raise DomainError("balanced complete bipartite graphs are excluded")
-
     sides = bipartition(g)
     if sides is None:
         res = greedy_extend(g, _seed_pair(g, range(g.n)))
@@ -578,10 +574,7 @@ def bound_report(g: Graph, rep: solver.InvariantReport) -> BoundReport:
     le("gamma_grt <= 2*gamma_gr", v["gamma_grt"], 2 * v["gamma_gr"])
     both_three = v["gamma_t"] == 3 and v["gamma_grt"] == 3
     check("never gamma_t = gamma_grt = 3", not both_three)
-    if connected and low == high >= 1:
-        k = high  # g is k-regular
-        is_kkk = is_balanced_complete_bipartite(g, k)
-        if k >= 3 and not is_kkk:
-            bound = regular_lower_bound(n, k, bipartition(g) is not None)
-            le("regular: k-regular lower bound <= gamma_grt", bound, v["gamma_grt"])
+    if regular_bound_applies(g):
+        bound = regular_lower_bound(n, high, bipartition(g) is not None)
+        le("regular: k-regular lower bound <= gamma_grt", bound, v["gamma_grt"])
     return BoundReport(tuple(checks))

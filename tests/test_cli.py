@@ -247,6 +247,15 @@ def test_family_t_above_its_limit_is_capacity_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", ["path:3000000", "gk:14"])
+def test_family_above_the_order_limit_is_usage_error(capsys, spec):
+    # orders 3,000,000 and 20,058,327, refused before anything is built
+    code, out, err = run(capsys, "compute", "--family", spec, "--invariant", "grt")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "258047" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_kind_mismatch_usage_error(capsys):
     code, _, err = run(capsys, "sweep", "hyper:10", "--checks", "thm4.2")
     assert code == 2

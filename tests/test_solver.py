@@ -30,6 +30,7 @@ from grundytd import (
     path,
     random_connected_graph,
     semistrong_matching_number,
+    solver,
     star,
     strong_matching_number,
     total_dominating_sequence_of_length,
@@ -125,6 +126,9 @@ def test_cap_blocks_oversized_input():
     with pytest.raises(CapacityError):
         grundy_total_domination_number(g)
     assert grundy_total_domination_number(g, cap=30)[0] == 2
+    # 2^29980 has 9,025 digits, more than int-to-str conversion allows
+    with pytest.raises(CapacityError, match=r"\(~2\^29980 MiB\)"):
+        solver.ensure_capacity(30000)
 
 
 def test_explicit_cap_argument_wins():

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import corpus, relabeled
+from conftest import corpus, cubic_corpus, relabeled
 from grundytd import (
     DomainError,
+    FamilyTCertificate,
     Graph,
     InvariantViolation,
     PairLabeling,
@@ -44,7 +45,7 @@ from grundytd import (
     tree_perfect_matching,
     verify_pair_labeling,
 )
-from grundytd.theorems import tree_bound_applies
+from grundytd.theorems import regular_bound_applies, tree_bound_applies
 
 
 # ---------- pair labelings (full-order sequences) ----------
@@ -191,6 +192,67 @@ def test_certificates_replay_to_members():
         for tree, cert in family_t_members(n):
             assert are_isomorphic(replay_family_t_certificate(cert), tree)
             assert is_in_family_t(tree) is not None
+
+
+def _valid_peels(t):
+    """t minus each leaf path c-b-a (deg b = deg a = 2) whose anchor v still
+    supports a leaf afterwards, relabelled onto 0..n-4."""
+    nbrs = [[u for u in range(t.n) if t.has_edge(v, u)] for v in range(t.n)]
+    for c in range(t.n):
+        if len(nbrs[c]) != 1:
+            continue
+        (b,) = nbrs[c]
+        if len(nbrs[b]) != 2:
+            continue
+        (a,) = [x for x in nbrs[b] if x != c]
+        if len(nbrs[a]) != 2:
+            continue
+        (v,) = [x for x in nbrs[a] if x != b]
+        index = {x: i for i, x in enumerate(x for x in range(t.n) if x not in (a, b, c))}
+        edges = [(index[x], index[y]) for x, y in t.edges() if x in index and y in index]
+        rest = Graph.from_edges(t.n - 3, edges)
+        if any(rest.degree(index[w]) == 1 for w in nbrs[v] if w in index):
+            yield rest
+
+
+def test_every_valid_peel_of_a_member_leaves_a_member():
+    # the peel lemma behind is_in_family_t's single greedy pass
+    peels = 0
+    for n in range(5, 27, 3):
+        smaller = {graph_canonical_form(t) for t, _ in family_t_members(n - 3)}
+        for tree, _ in family_t_members(n):
+            for rest in _valid_peels(tree):
+                assert graph_canonical_form(rest) in smaller, tree.adj
+                peels += 1
+    assert peels > len(family_t_members(26))
+
+
+@pytest.mark.parametrize(
+    "n, steps, message",
+    [
+        (5, ((7, (2, 3, 4)),), "missing vertex 7"),
+        (5, ((0, (1, 2, 3)),), "three fresh ids"),
+        (5, ((0, (2, 2, 3)),), "three fresh ids"),
+        (8, ((1, (2, 3, 4)), (2, (5, 6, 7))), "non-support vertex 2"),
+        (6, ((0, (2, 3, 4)),), "does not label"),
+    ],
+)
+def test_replay_rejects_malformed_certificates(n, steps, message):
+    with pytest.raises(PreconditionError, match=message):
+        replay_family_t_certificate(FamilyTCertificate(n, (0, 1), steps))
+
+
+def test_greedy_peel_rejects_a_large_non_member_quickly():
+    # a hub with one leaf, 13 legs of three vertices and a 6-vertex path:
+    # order 47, no strong support vertex, and no peel ever takes the path
+    edges = [(0, 1)]
+    for leg in range(13):
+        x = 2 + 3 * leg
+        edges += [(0, x), (x, x + 1), (x + 1, x + 2)]
+    edges += [(0, 41)] + [(x, x + 1) for x in range(41, 46)]
+    t = tree_from_edges(47, edges)
+    assert tree_bound_applies(t)
+    assert is_in_family_t(t) is None
 
 
 @pytest.mark.parametrize("n", [pytest.param(8, marks=pytest.mark.slow), 11, 14])
@@ -352,6 +414,24 @@ def test_bound_report_checks_regular_bounds_on_connected_graphs_only():
     two = bound_report(two_k4, compute_report(two_k4))
     assert not {regular, floor} & {c.name for c in two.checks}
     assert one.violations == two.violations == ()
+    # the construction, the report's row and the predicate share one domain
+    graphs = [g for n in range(4, 11, 2) for g in cubic_corpus(n)]
+    graphs += [k_kk(3), k_kk(4), cycle(6), path(4), two_k4, build_family("gm:3:2")]
+    covered = 0
+    for g in graphs:
+        applies = regular_bound_applies(g)
+        try:
+            regular_greedy_sequence(g)
+        except DomainError:
+            constructed = False
+        else:
+            constructed = True
+        assert applies == constructed, g.adj
+        names = {c.name for c in bound_report(g, compute_report(g)).checks}
+        assert (regular in names) == applies, g.adj
+        covered += applies
+    # K3,3 (in the corpus and added again), K4,4, C6, P4 and 2K4 are out
+    assert covered == len(graphs) - 6
 
 
 def test_bound_report_checks_the_abstracts_regular_bound():
