@@ -20,8 +20,8 @@ import argparse
 import json
 import random
 import sys
+from typing import TYPE_CHECKING
 
-from . import checks, solver
 from .errors import CapacityError, GrundyTDError, InvariantViolation
 from .formats import (
     graph_from_edge_list,
@@ -32,7 +32,6 @@ from .formats import (
     hypergraph_to_text,
 )
 from .graph import Graph, build_family
-from .hypergraph import Hypergraph
 from .smallgraphs import (
     connected_cubic_graphs,
     connected_graphs,
@@ -40,7 +39,12 @@ from .smallgraphs import (
     random_hypergraph,
     random_tree,
 )
-from .theorems import family_t_members
+
+# solver, checks, theorems and hypergraph are imported inside the commands
+# that run them, so start-up loads only what the command needs.
+if TYPE_CHECKING:
+    from .checks import CheckResult
+    from .hypergraph import Hypergraph
 
 
 def _read_text(path: str) -> str:
@@ -88,6 +92,8 @@ def _default_graphs() -> list[Graph]:
 
 
 def _default_trees(seed: int) -> list[Graph]:
+    from .theorems import family_t_members
+
     out = []
     for n in (2, 5, 8, 11):
         out.extend(t for t, _ in family_t_members(n))
@@ -116,6 +122,8 @@ def _default_hypergraphs(seed: int) -> list[Hypergraph]:
 
 
 def _invariant_keys(args) -> tuple[str, ...]:
+    from . import solver
+
     if getattr(args, "all", False) or not args.invariant:
         return solver.INVARIANT_KEYS
     keys = []
@@ -146,6 +154,8 @@ def cmd_compute(args) -> int:
         h = _load_hypergraph(args)
         if h is None:
             raise GrundyTDError("compute needs --family, --graph, or --hypergraph")
+        from . import checks
+
         rep = checks.hypergraph_report(h, cap=args.cap)
         payload = {"n_vertices": h.n_vertices, "n_edges": len(h.edges)}
         for key, res in rep.results.items():
@@ -159,6 +169,8 @@ def cmd_compute(args) -> int:
                 wit = " ".join(str(v) for v in res.witness)
                 print(f"  {key} = {res.value}   witness: {wit}")
         return 0
+    from . import solver
+
     keys = _invariant_keys(args)
     reports = [solver.compute_report(g, keys=keys, cap=args.cap) for g in graphs]
     if args.json:
@@ -189,7 +201,7 @@ def _items_for_kind(kind: str, args):
     return _default_graphs()
 
 
-def _emit_check(res: checks.CheckResult, as_json: bool) -> None:
+def _emit_check(res: CheckResult, as_json: bool) -> None:
     if as_json:
         json.dump(
             {
@@ -212,6 +224,8 @@ def _emit_check(res: checks.CheckResult, as_json: bool) -> None:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
+
     token = args.check
     if token not in checks.TOKENS:
         raise GrundyTDError(
@@ -263,6 +277,8 @@ def cmd_generate(args) -> int:
                 file=sys.stderr,
             )
             return 0
+        from .theorems import family_t_members
+
         members = family_t_members(args.n)
         if limit is not None:
             members = members[:limit]
@@ -336,6 +352,8 @@ def _sweep_items(source: str, seed: int):
 
 
 def cmd_sweep(args) -> int:
+    from . import checks
+
     items, item_kind = _sweep_items(args.source, args.seed)
     if args.checks:
         names = []
@@ -464,7 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="connected:N, cubic:N, trees:N:COUNT, random:N:COUNT:P, "
         "hyper:COUNT, g6:PATH, family:SPEC",
     )
-    p.add_argument("--suite", choices=tuple(checks.SUITES))
+    p.add_argument(
+        "--suite",
+        help="checker suite (default graphs, or hypergraphs for hyper:COUNT); "
+        "an unknown name lists the suites",
+    )
     p.add_argument("--checks", help="comma list of checker names or tokens")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int)

@@ -10,7 +10,7 @@ carry 1-based line numbers.
 from __future__ import annotations
 
 from .errors import ParameterError, ParseError
-from .graph import MAX_ORDER, Graph, bits
+from .graph import MAX_ORDER, Graph, bits, check_adjacency_bits
 
 # -- graph6 -----------------------------------------------------------------
 
@@ -118,6 +118,10 @@ def graph_from_edge_list(text: str) -> Graph:
         raise ParseError(f"order must be >= 1, got {n}", lineno)
     if n > MAX_ORDER:
         raise ParseError(f"orders beyond {MAX_ORDER} not supported", lineno)
+    try:
+        check_adjacency_bits(n)
+    except ParameterError as exc:
+        raise ParseError(str(exc), lineno) from None
     edges = []
     for lineno, line in it:
         parts = line.split()

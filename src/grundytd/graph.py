@@ -3,8 +3,8 @@
 Vertices are 0..n-1.  The adjacency of vertex v is a single int whose bit u
 is set iff uv is an edge; Python ints grow as needed, so the Graph class
 does not cap n (the exact solvers apply their own size cap); the named
-families stop at MAX_ORDER.  Graphs are immutable and hashable on
-(n, adjacency).
+families stop at MAX_ORDER and at MAX_ADJACENCY_BITS.  Graphs are immutable
+and hashable on (n, adjacency).
 """
 
 from __future__ import annotations
@@ -19,6 +19,13 @@ from .errors import ParameterError
 # parsers in formats and the named families below refuse larger orders
 # before allocating anything for them.
 MAX_ORDER = 258047
+
+# Row v holds a bit for each neighbour id, so the rows of a graph of order n
+# can hold up to n(n-1)/2 bits even when it is sparse (a path fills about
+# that many).  The named families and the edge-list parser refuse an order
+# whose estimate exceeds this many bits (128 MiB of rows; the largest order
+# allowed is 46,341) before allocating anything.
+MAX_ADJACENCY_BITS = 1 << 30
 
 
 def bits(mask: int):
@@ -160,11 +167,22 @@ def is_connected(g: Graph) -> bool:
 # -- named families --------------------------------------------------------
 
 
+def check_adjacency_bits(n: int) -> None:
+    """Refuse an order whose adjacency rows may need more than
+    MAX_ADJACENCY_BITS bits."""
+    if n * (n - 1) // 2 > MAX_ADJACENCY_BITS:
+        raise ParameterError(
+            f"order {n} needs up to {n * (n - 1) // 2} adjacency bits, "
+            f"beyond the limit of {MAX_ADJACENCY_BITS}"
+        )
+
+
 def _check_order(n: int) -> None:
-    """Refuse a family member above MAX_ORDER, given its order computed from
-    the parameters alone."""
+    """Refuse a family member above MAX_ORDER or MAX_ADJACENCY_BITS, given
+    its order computed from the parameters alone."""
     if n > MAX_ORDER:
         raise ParameterError(f"family orders beyond {MAX_ORDER} not supported, got {n}")
+    check_adjacency_bits(n)
 
 
 def path(n: int) -> Graph:

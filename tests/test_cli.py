@@ -1,8 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from grundytd import engine, graph_from_graph6, hypergraph_from_text, path, graph_to_graph6
+from grundytd import checks, engine, graph_from_graph6, hypergraph_from_text, path, graph_to_graph6
 from grundytd.cli import main
 
 
@@ -256,10 +261,39 @@ def test_family_above_the_order_limit_is_usage_error(capsys, spec):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["compute", "generate"])
+def test_large_sparse_family_fails_before_allocating(command):
+    # path:120000 is below the order limit, but its bitmask rows would hold
+    # about 7.2e9 bits; the address-space limit turns a build that skips the
+    # check into a MemoryError instead of letting it take the machine's memory
+    argv = ["--family", "path:120000", "--all"] if command == "compute" else ["path:120000"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    limit = 600_000 * 1024
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "grundytd.cli", command, *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and "adjacency bits" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_sweep_kind_mismatch_usage_error(capsys):
     code, _, err = run(capsys, "sweep", "hyper:10", "--checks", "thm4.2")
     assert code == 2
     assert err.strip()
+
+
+def test_sweep_unknown_suite_lists_the_suites(capsys):
+    code, out, err = run(capsys, "sweep", "connected:4", "--suite", "bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown suite 'bogus'; available: ")
+    assert all(suite in err for suite in checks.SUITES)
 
 
 def test_sweep_g6_file_source(tmp_path, capsys):

@@ -48,6 +48,12 @@ def test_edge_list_oversized_order_rejected(text):
         graph_from_edge_list(text)
 
 
+def test_edge_list_order_beyond_the_adjacency_limit_rejected():
+    assert graph_from_edge_list("46341 0").n == 46341
+    with pytest.raises(ParseError, match="adjacency bits"):
+        graph_from_edge_list("46342 0")
+
+
 def test_graph6_p3_roundtrip():
     s = graph_to_graph6(path(3))
     assert len(s) == 1 + 1  # one size byte + one adjacency byte

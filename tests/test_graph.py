@@ -123,3 +123,11 @@ def test_build_family_rejects_unknown():
 def test_graph_rejects_self_loop():
     with pytest.raises((ParameterError, ParseError, ValueError)):
         Graph.from_edges(2, [(0, 0)])
+
+
+def test_family_adjacency_limit_is_checked_before_building():
+    # order 46,341 is the largest whose n(n-1)/2-bit estimate fits the limit;
+    # stars that large are cheap, since only the centre's row is wide
+    assert star(46340).n == 46341
+    with pytest.raises(ParameterError, match="adjacency bits"):
+        star(46341)

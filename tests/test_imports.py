@@ -1,0 +1,77 @@
+"""The package imports lazily, and the CLI loads only what its command runs.
+
+Each command line run is a fresh process that compiles every module it
+imports, so importing the whole package for every command is most of a
+short command's time.  The footprint checks run in a fresh interpreter,
+since this test process has imported every module already.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import grundytd
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+REPORT = "import json, sys; print(json.dumps(sorted(sys.modules)), file=sys.stderr)"
+RUN_CLI = "import sys; from grundytd.cli import main; assert main(sys.argv[1:]) == 0"
+
+
+def grundytd_modules_after(code: str, *argv: str) -> tuple[set[str], set[str]]:
+    """(grundytd submodules, all modules) loaded by a fresh interpreter running code."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{REPORT}", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert "grundytd" in loaded
+    return {m.removeprefix("grundytd.") for m in loaded if m.startswith("grundytd.")}, loaded
+
+
+def test_importing_the_package_imports_no_submodule():
+    assert grundytd_modules_after("import grundytd")[0] == set()
+    # dir() lists the exports without loading them
+    listed = "import grundytd; assert set(grundytd.__all__) <= set(dir(grundytd))"
+    assert grundytd_modules_after(listed)[0] == set()
+    # the first use of a name loads its submodule and what that imports
+    assert grundytd_modules_after("import grundytd; grundytd.path")[0] == {"errors", "graph"}
+
+
+def test_importing_the_cli_loads_no_solver_checker_or_theorem():
+    ours, loaded = grundytd_modules_after("import grundytd.cli")
+    assert ours == {"cli", "errors", "formats", "graph", "smallgraphs"}
+    assert "fractions" not in loaded
+
+
+def test_compute_loads_no_checker_theorem_or_hypergraph():
+    ours, _ = grundytd_modules_after(RUN_CLI, "compute", "--family", "path:6", "--all", "--json")
+    assert {"solver", "engine", "sequences"} <= ours
+    assert not {"checks", "theorems", "hypergraph"} & ours
+
+
+def test_every_export_is_its_submodules_object():
+    assert len(grundytd.__all__) == 89  # the package's public names
+    for name in grundytd.__all__:
+        module = importlib.import_module(f"grundytd.{grundytd._MODULE_OF[name]}")
+        assert getattr(grundytd, name) is getattr(module, name), name
+        assert vars(grundytd)[name] is getattr(module, name), name  # kept after first use
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        grundytd.no_such_name
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from grundytd import *", namespace)
+    assert set(grundytd.__all__) <= set(namespace)
+    assert namespace["path"] is grundytd.path
