@@ -6,12 +6,12 @@ solver.InvariantReport on it, and reads the values and witnesses it needs
 from that report.  Graph, tree and regular checkers read the graph
 invariants of solver.compute_report; hypergraph checkers read rho (edge
 cover number), rho_gr (covering number) and tau_gr (transversal number).
-Each returns a CheckResult for that one instance: tested 1, or 0 when the
-statement does not apply, and at most one reparseable counterexample
-string, with graphs dumped as graph6 and hypergraphs as JSON
-{"n": ..., "edges": [[...], ...]}.  Checkers never raise on a violated
-statement; they report it.  Capacity problems do propagate, since they
-mean the instance was too big to decide.
+Each returns a CheckResult for that one instance: tested 1 (the runner
+skips instances the statement does not cover), and at most one
+reparseable counterexample string, with graphs dumped as graph6 and
+hypergraphs as JSON {"n": ..., "edges": [[...], ...]}.  Checkers never
+raise on a violated statement; they report it.  Capacity problems do
+propagate, since they mean the instance was too big to decide.
 
 run_checks is the one runner, used by both `verify` and `sweep`.  It
 walks the instances once and skips graphs with an isolated vertex (total
@@ -79,10 +79,6 @@ def _pass(name: str, notes: tuple[str, ...] = ()) -> CheckResult:
 def _fail(name: str, item, why: str, notes: tuple[str, ...] = ()) -> CheckResult:
     ref = _href(item) if isinstance(item, Hypergraph) else graph_to_graph6(item)
     return CheckResult(name, False, 1, (f"{ref} :: {why}",), notes)
-
-
-def _untested(name: str) -> CheckResult:
-    return CheckResult(name, True, 0)
 
 
 class _Collector:
@@ -248,8 +244,6 @@ def check_tree_matching_order(t: Graph, rep: InvariantReport, cap=None) -> Check
 def check_tree_lower_bound(t: Graph, rep: InvariantReport, cap=None) -> CheckResult:
     """No strong support vertex forces value >= 2(n+1)/3; equality is the family."""
     tb = theorems.tree_bound_report(t, rep)
-    if not tb.applicable:
-        return _untested("tree-lower-bound")
     if not tb.meets_bound:
         why = f"gamma_grt={tb.gamma_grt} below bound {tb.bound}"
         return _fail("tree-lower-bound", t, why)
@@ -258,8 +252,6 @@ def check_tree_lower_bound(t: Graph, rep: InvariantReport, cap=None) -> CheckRes
     if tb.equality != (cert is not None):
         why = f"equality={tb.equality} but family membership={cert is not None}"
         return _fail("tree-lower-bound", t, why)
-    if cert is not None and t.n % 3 != 2:
-        return _fail("tree-lower-bound", t, "family member with order not 2 mod 3")
     return _pass("tree-lower-bound")
 
 

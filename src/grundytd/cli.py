@@ -243,16 +243,12 @@ def cmd_verify(args) -> int:
 def _emit_graphs(graphs, args, certificates=None) -> None:
     fmt = args.format or "g6"
     if args.json:
-        records = []
-        for i, g in enumerate(graphs):
-            rec = {"n": g.n, "edges": [list(e) for e in g.edges()]}
-            if certificates is not None:
-                cert = certificates[i]
-                rec["certificate"] = {
-                    "base": list(cert.base),
-                    "steps": [[v, list(path)] for v, path in cert.steps],
-                }
-            records.append(rec)
+        records = [{"n": g.n, "edges": [list(e) for e in g.edges()]} for g in graphs]
+        for rec, cert in zip(records, certificates or ()):
+            rec["certificate"] = {
+                "base": list(cert.base),
+                "steps": [[v, list(path)] for v, path in cert.steps],
+            }
         json.dump({"graphs": records}, sys.stdout, indent=2)
         print()
         return
@@ -271,20 +267,18 @@ def cmd_generate(args) -> int:
     if what == "familyT":
         if args.n is None:
             raise GrundyTDError("generate familyT needs --n")
-        if args.n < 2 or args.n % 3 != 2:
+        from .theorems import family_t_members
+
+        members = family_t_members(args.n)
+        if not members:
             print(
                 f"no members of order {args.n}: orders are 2 mod 3 (2, 5, 8, ...)",
                 file=sys.stderr,
             )
             return 0
-        from .theorems import family_t_members
-
-        members = family_t_members(args.n)
         if limit is not None:
             members = members[:limit]
-        _emit_graphs(
-            [t for t, _ in members], args, certificates=[c for _, c in members]
-        )
+        _emit_graphs([t for t, _ in members], args, [c for _, c in members])
         return 0
     if what.startswith("connected:") or what.startswith("cubic:"):
         kind, _, rest = what.partition(":")

@@ -9,12 +9,16 @@ carry 1-based line numbers.
 
 from __future__ import annotations
 
+import math
+import re
+
 from .errors import ParameterError, ParseError
 from .graph import MAX_ORDER, Graph, bits, check_adjacency_bits
 
 # -- graph6 -----------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+_G6_SET_BITS = re.compile(r"[^?]")  # '?' is six zero bits
 
 
 def graph_to_graph6(g: Graph) -> str:
@@ -42,39 +46,37 @@ def graph_to_graph6(g: Graph) -> str:
 
 
 def graph_from_graph6(text: str, line: int | None = None) -> Graph:
-    s = text.strip()
-    if s.startswith(_G6_HEADER):
-        s = s[len(_G6_HEADER):]
+    s = text.strip().removeprefix(_G6_HEADER)
     if not s:
         raise ParseError("empty graph6 string", line)
-    data = [ord(c) - 63 for c in s]
-    if any(d < 0 or d > 63 for d in data):
+    if min(s) < "?" or max(s) > "~":
         raise ParseError("graph6 character out of range", line)
-    if data[0] == 63:
-        if len(data) < 4:
+    n, start = ord(s[0]) - 63, 1
+    if n == 63:
+        head = [ord(c) - 63 for c in s[1:4]]
+        if len(head) < 3:
             raise ParseError("truncated graph6 length header", line)
-        if data[1] == 63:
+        if head[0] == 63:
             raise ParseError(f"graph6 orders beyond {MAX_ORDER} not supported", line)
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
-    else:
-        n = data[0]
-        body = data[1:]
+        n, start = (head[0] << 12) | (head[1] << 6) | head[2], 4
     if n < 1:
         raise ParseError("graph6 order must be >= 1", line)
-    need = (n * (n - 1) // 2 + 5) // 6
-    if len(body) != need:
-        raise ParseError(
-            f"graph6 body has {len(body)} characters, expected {need}", line
-        )
+    pairs = n * (n - 1) // 2
+    need, body = (pairs + 5) // 6, len(s) - start
+    if body != need:
+        raise ParseError(f"graph6 body has {body} characters, expected {need}", line)
+    # bit k of the body is the pair (i, j) with k = j(j-1)/2 + i; bits past
+    # the last pair pad the last character
     rows = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (body[k // 6] >> (5 - k % 6)) & 1:
+    for found in _G6_SET_BITS.finditer(s, start):
+        d = ord(found.group()) - 63
+        for b in range(6):
+            k = 6 * (found.start() - start) + b
+            if (d >> (5 - b)) & 1 and k < pairs:
+                j = (1 + math.isqrt(8 * k + 1)) // 2
+                i = k - j * (j - 1) // 2
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            k += 1
     return Graph(n, tuple(rows))
 
 

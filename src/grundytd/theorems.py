@@ -10,10 +10,17 @@ Everything here pairs a structural statement with an executable witness:
   * trees: value n iff a perfect matching exists, with an explicit
     children-before-parents sequence built from the matching.
   * trees without a strong support vertex: value >= 2(n+1)/3, equality
-    exactly for the leaf-path extension family below.  Peel lemma: every
+    exactly for the leaf-path extension family T below.  Peel lemma: every
     valid peel (a leaf path c-b-a whose anchor still supports a leaf
     afterwards) of a member of order >= 5 leaves a member, so one greedy
-    pass of peels decides membership.
+    pass of peels decides membership.  Family T of order 3m - 1 is
+    {S(H o K_1) : H a tree on m vertices}, where H o K_1 hangs a leaf on
+    every vertex of H and S subdivides each edge of H once.  The base P2 is
+    S(K_1 o K_1); the supports of S(H o K_1) are exactly the vertices of H,
+    and attaching a leg v-a-b-c at a support v gives S(H' o K_1) with H' =
+    H plus the leaf b on v.  So every member has this form, and H is read
+    back as the supports joined by the subdivided paths: trees and members
+    correspond one to one, up to isomorphism.
   * connected k-regular graphs (k >= 3, not balanced complete bipartite):
     a two-phase greedy construction whose length meets the proven lower
     bound, with a separate bipartite variant.
@@ -44,7 +51,7 @@ from .graph import (
     strong_support_vertices,
 )
 from .sequences import check_legal, greedy_extend, is_total_dominating_sequence
-from .smallgraphs import canonical_form
+from .smallgraphs import canonical_form  # noqa: F401  perfbench/tracer.py rebinds it here
 
 
 # -- order-matching labeling (value n characterization) -----------------------
@@ -262,45 +269,70 @@ class FamilyTCertificate:
 
 def replay_family_t_certificate(cert: FamilyTCertificate) -> Graph:
     """Rebuild the tree from its trace, validating every step."""
-    rows: dict[int, list[int]] = {}
-    edges = []
-
-    def link(x: int, y: int) -> None:
-        rows.setdefault(x, []).append(y)
-        rows.setdefault(y, []).append(x)
-        edges.append((x, y))
-
-    link(*cert.base)
-    for v, (a, b, c) in cert.steps:
-        if v not in rows:
+    u, w = cert.base
+    nbrs = {u: {w}, w: {u}}
+    for v, leg in cert.steps:
+        if v not in nbrs:
             raise PreconditionError(f"step attaches to missing vertex {v}")
-        if len({a, b, c}) != 3 or not rows.keys().isdisjoint((a, b, c)):
+        if len(set(leg)) != 3 or not nbrs.keys().isdisjoint(leg):
             raise PreconditionError("step path vertices must be three fresh ids")
-        if all(len(rows[w]) != 1 for w in rows[v]):
+        if all(len(nbrs[x]) != 1 for x in nbrs[v]):
             raise PreconditionError(f"step attaches to non-support vertex {v}")
-        link(v, a)
-        link(a, b)
-        link(b, c)
-    if len(rows) != cert.n or sorted(rows) != list(range(cert.n)):
+        for x, y in zip((v, *leg), leg):
+            nbrs.setdefault(x, set()).add(y)
+            nbrs.setdefault(y, set()).add(x)
+    if sorted(nbrs) != list(range(cert.n)):
         raise PreconditionError("certificate does not label 0..n-1")
-    return Graph.from_edges(cert.n, edges)
+    return Graph(cert.n, tuple(sum(1 << y for y in nbrs[x]) for x in range(cert.n)))
 
 
-# The largest order family_t_members is allowed to build.  Each order
-# builds the one three below it first and takes about 2.8 times as long:
-# order 44 (7,741 members) took 210 s and order 47 (19,320 members) 634 s,
-# about 960 s and 91 MB in all from order 2 (2 shared vCPUs).  Higher orders
-# were not run; far above them the recursion would overflow the stack.
-MAX_FAMILY_T_ORDER = 47
+def _rooted_trees(m: int):
+    """Every rooted tree on m vertices once, as a preorder parent list, from
+    Beyer and Hedetniemi's level sequences (SIAM J. Comput. 9, 1980): the
+    successor takes the last vertex p deeper than 1 and repeats the levels
+    from p's parent up to p over the rest of the sequence."""
+    levels = list(range(m))
+    while True:
+        last, parents = [0] * m, [-1]
+        for i in range(1, m):
+            parents.append(last[levels[i] - 1])
+            last[levels[i]] = i
+        yield parents
+        p = max((i for i in range(m) if levels[i] > 1), default=0)
+        if not p:
+            return
+        q = parents[p]
+        levels[p:] = [levels[q + (i - q) % (p - q)] for i in range(p, m)]
 
-_family_t_cache: dict[int, list[tuple[Graph, FamilyTCertificate]]] = {}
+
+def _free_trees(m: int):
+    """Every tree on m >= 1 vertices once, as a preorder parent list, with
+    no isomorphism test.  A tree with one centroid is listed rooted there,
+    where every root branch has fewer than m/2 vertices; one with two is an
+    unordered pair of rooted halves on m/2 vertices joined at their roots."""
+    for parents in _rooted_trees(m):
+        tops = [i for i in range(1, m) if parents[i] == 0] + [m]
+        if all(2 * (b - a) < m for a, b in zip(tops, tops[1:])):
+            yield parents
+    if m % 2 == 0:
+        halves = list(_rooted_trees(m // 2))
+        for i, a in enumerate(halves):
+            for b in halves[i:]:
+                yield a + [0] + [p + m // 2 for p in b[1:]]
+
+
+# The largest order family_t_members is allowed to build: `generate familyT
+# --n 50` (48,629 members) takes 15 s and peaks at 221 MB, order 47 (19,320)
+# 5.2 s and 93 MB; the next order, 53, would be about three times both.
+MAX_FAMILY_T_ORDER = 50
 
 
 def family_t_members(n: int) -> list[tuple[Graph, FamilyTCertificate]]:
-    """All family members of the given order, one per isomorphism class.
-
-    Orders above MAX_FAMILY_T_ORDER raise CapacityError.
-    """
+    """S(H o K_1) for each tree H on (n + 1)/3 vertices: one family member
+    per isomorphism class.  H-vertex j in preorder gets id 3j, its leaf
+    3j + 1 and the vertex on the edge to its parent 3j - 1; the certificate
+    attaches the H-vertices in preorder.  Orders above MAX_FAMILY_T_ORDER
+    raise CapacityError."""
     if n > MAX_FAMILY_T_ORDER:
         raise CapacityError(
             f"enumerating family T graphs of order {n} is beyond the limit "
@@ -308,33 +340,11 @@ def family_t_members(n: int) -> list[tuple[Graph, FamilyTCertificate]]:
         )
     if n < 2 or n % 3 != 2:
         return []
-    if n in _family_t_cache:
-        return _family_t_cache[n]
-    if n == 2:
-        base = Graph.from_edges(2, [(0, 1)])
-        out = [(base, FamilyTCertificate(2, (0, 1), ()))]
-    else:
-        seen: set[bytes] = set()
-        out = []
-        for smaller, cert in family_t_members(n - 3):
-            degs = [smaller.degree(v) for v in range(smaller.n)]
-            supports = [
-                v
-                for v in range(smaller.n)
-                if any(degs[u] == 1 for u in bits(smaller.adj[v]))
-            ]
-            for v in supports:
-                a, b, c = smaller.n, smaller.n + 1, smaller.n + 2
-                edges = smaller.edges() + [(v, a), (a, b), (b, c)]
-                tree = Graph.from_edges(n, edges)
-                key = canonical_form(tree.adj, n)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(
-                    (tree, FamilyTCertificate(n, cert.base, cert.steps + ((v, (a, b, c)),)))
-                )
-    _family_t_cache[n] = out
+    out = []
+    for ps in _free_trees((n + 1) // 3):
+        legs = tuple((3 * p, (3 * j - 1, 3 * j, 3 * j + 1)) for j, p in enumerate(ps) if j)
+        cert = FamilyTCertificate(n, (0, 1), legs)
+        out.append((replay_family_t_certificate(cert), cert))
     return out
 
 

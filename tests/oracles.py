@@ -11,6 +11,7 @@ from itertools import combinations, permutations
 from grundytd.engine import _check_coverable
 from grundytd.graph import Graph, bits
 from grundytd.smallgraphs import canonical_form
+from grundytd.theorems import FamilyTCertificate
 
 
 def neighborhoods(g, mode):
@@ -292,6 +293,26 @@ def max_special_matching(g, semistrong):
 
     walk(0, [], set())
     return best[0], best[1]
+
+
+def semistrong_vertex_sets(g):
+    """Every vertex set S that is V(M) for a semistrong matching M.
+
+    A matching M is semistrong when each edge has an endpoint of degree 1
+    in G[V(M)].  So S = V(M) exactly when G[S] has no isolated vertex and
+    the pairs {u, N_S(u)} for the degree-1 vertices u of G[S] partition S:
+    those pairs are M.  Subsets are tested one by one, with no matching
+    built or searched; nu_ss is the largest |S| / 2.
+    """
+    for k in range(0, g.n + 1, 2):
+        for combo in combinations(range(g.n), k):
+            s = set(combo)
+            inside = {u: {v for v in s if g.adj[u] >> v & 1} for u in s}
+            if any(not nbrs for nbrs in inside.values()):
+                continue
+            pairs = {frozenset((u, *nbrs)) for u, nbrs in inside.items() if len(nbrs) == 1}
+            if sum(len(p) for p in pairs) == k and set().union(*pairs, set()) == s:
+                yield s
 
 
 def line_graph_square_independence(g):
@@ -680,3 +701,45 @@ def game_cover_value_unpruned(masks, universe):
         else:
             raise RuntimeError("principal line reconstruction failed")
     return total, trace
+
+
+_family_t_reference_cache = {}
+
+
+def family_t_reference(n):
+    """Family T members of order n by growing the order three below.
+
+    A verbatim copy of theorems.family_t_members before it was built from
+    trees: every leaf path is attached at every support vertex of every
+    smaller member and deduplicated by canonical form.
+    """
+    if n < 2 or n % 3 != 2:
+        return []
+    if n in _family_t_reference_cache:
+        return _family_t_reference_cache[n]
+    if n == 2:
+        base = Graph.from_edges(2, [(0, 1)])
+        out = [(base, FamilyTCertificate(2, (0, 1), ()))]
+    else:
+        seen: set[bytes] = set()
+        out = []
+        for smaller, cert in family_t_reference(n - 3):
+            degs = [smaller.degree(v) for v in range(smaller.n)]
+            supports = [
+                v
+                for v in range(smaller.n)
+                if any(degs[u] == 1 for u in bits(smaller.adj[v]))
+            ]
+            for v in supports:
+                a, b, c = smaller.n, smaller.n + 1, smaller.n + 2
+                edges = smaller.edges() + [(v, a), (a, b), (b, c)]
+                tree = Graph.from_edges(n, edges)
+                key = canonical_form(tree.adj, n)
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append(
+                    (tree, FamilyTCertificate(n, cert.base, cert.steps + ((v, (a, b, c)),)))
+                )
+    _family_t_reference_cache[n] = out
+    return out

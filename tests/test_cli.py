@@ -9,6 +9,7 @@ import pytest
 
 from grundytd import checks, engine, graph_from_graph6, hypergraph_from_text, path, graph_to_graph6
 from grundytd.cli import main
+from grundytd.theorems import MAX_FAMILY_T_ORDER
 
 
 def run(capsys, *argv):
@@ -246,7 +247,8 @@ def test_enumeration_above_its_limit_is_capacity_error(capsys, argv):
 
 
 def test_family_t_above_its_limit_is_capacity_error(capsys):
-    code, out, err = run(capsys, "generate", "familyT", "--n", "100001")
+    # the limit is checked before the residue, so any order above it fails
+    code, out, err = run(capsys, "generate", "familyT", "--n", str(MAX_FAMILY_T_ORDER + 1))
     assert (code, out) == (3, "")
     assert err.startswith("error:") and "beyond the limit" in err
     assert "Traceback" not in err

@@ -1,3 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +83,55 @@ def test_graph6_rejects_trailing_garbage():
     s = graph_to_graph6(path(4))
     with pytest.raises(ParseError):
         graph_from_graph6(s + "!!!!")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty graph6 string"),
+        ("A>", "graph6 character out of range"),
+        ("~??", "truncated graph6 length header"),
+        ("~~??????", "graph6 orders beyond 258047 not supported"),
+        ("?", "graph6 order must be >= 1"),
+        ("A", "graph6 body has 0 characters, expected 1"),
+        ("~?@?" + "?" * 338, "graph6 body has 338 characters, expected 336"),
+    ],
+)
+def test_graph6_errors_name_the_fault(text, message):
+    with pytest.raises(ParseError, match=message):
+        graph_from_graph6(text)
+
+
+def test_large_sparse_graph6_parses_in_bounded_memory(tmp_path):
+    # a path of order 30,000 is a 75 MB graph6 line; the parser holds no
+    # per-character list, so it fits a 600 MB address space and the solver's
+    # order cap refuses it (exit 3) instead of a MemoryError traceback
+    n = 30_000
+    pairs = n * (n - 1) // 2
+    body = bytearray(b"?") * ((pairs + 5) // 6)
+    for j in range(1, n):
+        k = j * (j - 1) // 2 + j - 1  # the pair (j - 1, j)
+        body[k // 6] += 1 << (5 - k % 6)
+    big = tmp_path / "big.g6"
+    with open(big, "wb") as fh:
+        fh.write(bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]))
+        fh.write(body)
+        fh.write(b"\n")
+    del body
+    src = Path(__file__).resolve().parent.parent / "src"
+    limit = 600_000 * 1024
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "grundytd.cli", "compute", "--graph", str(big), "--invariant", "gt"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: instance order 30000 exceeds")
+    assert "Traceback" not in proc.stderr
 
 
 @settings(max_examples=80, deadline=None)

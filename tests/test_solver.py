@@ -285,6 +285,14 @@ def test_matchings_match_unpruned_oracle(connected_upto_7):
         assert _matchings(g) == _oracle_matchings(g), g.edges()
 
 
+def test_semistrong_matching_number_is_half_the_largest_vertex_set(connected_upto_7):
+    # the oracle tests vertex subsets against the induced-degree
+    # characterization; it searches no matching at all
+    for g in connected_upto_7:
+        largest = max(len(s) for s in oracles.semistrong_vertex_sets(g))
+        assert 2 * semistrong_matching_number(g)[0] == largest, g.edges()
+
+
 def test_matchings_match_unpruned_oracle_on_random_graphs():
     rng = random.Random(1989)
     for _ in range(300):

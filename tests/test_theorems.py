@@ -7,6 +7,7 @@ import pytest
 import oracles
 from conftest import corpus, cubic_corpus, relabeled
 from grundytd import (
+    CapacityError,
     DomainError,
     FamilyTCertificate,
     Graph,
@@ -45,7 +46,15 @@ from grundytd import (
     tree_perfect_matching,
     verify_pair_labeling,
 )
-from grundytd.theorems import regular_bound_applies, tree_bound_applies
+from grundytd import smallgraphs, theorems
+from grundytd.checks import SUITES, run_checks
+from grundytd.smallgraphs import canonical_form
+from grundytd.theorems import (
+    MAX_FAMILY_T_ORDER,
+    _free_trees,
+    regular_bound_applies,
+    tree_bound_applies,
+)
 
 
 # ---------- pair labelings (full-order sequences) ----------
@@ -163,8 +172,52 @@ def test_matching_sequence_rejects_non_tree():
 # ---------- the extremal tree family ----------
 
 
+# trees on m vertices for m = 1..16 (OEIS A000055)
+TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320)
+
+
+def all_trees(m):
+    """Every tree on m vertices once, from the family's own generator."""
+    return [tree_from_edges(m, [(p, j) for j, p in enumerate(ps) if j]) for ps in _free_trees(m)]
+
+
+def test_free_trees_are_preorder_parent_lists_counted_by_a000055():
+    for m, want in enumerate(TREE_COUNTS[:12], start=1):
+        lists = list(_free_trees(m))
+        assert len(lists) == want
+        assert all(ps[0] == -1 and all(ps[j] < j for j in range(1, m)) for ps in lists)
+
+
 def test_family_member_counts():
     assert [len(family_t_members(n)) for n in (2, 5, 8, 11)] == [1, 1, 1, 2]
+    assert [len(family_t_members(3 * m - 1)) for m in range(1, 13)] == list(TREE_COUNTS[:12])
+
+
+def test_family_members_need_no_canonical_form(monkeypatch):
+    calls = []
+
+    def counted(adj, n):
+        calls.append(n)
+        return canonical_form(adj, n)
+
+    monkeypatch.setattr(smallgraphs, "canonical_form", counted)
+    monkeypatch.setattr(theorems, "canonical_form", counted)
+    for n in range(2, 30):
+        family_t_members(n)
+    assert calls == []
+
+
+def test_family_members_match_the_reference_generator():
+    for n in range(2, 30):
+        ours = [graph_canonical_form(t) for t, _ in family_t_members(n)]
+        want = {graph_canonical_form(t) for t, _ in oracles.family_t_reference(n)}
+        assert len(ours) == len(set(ours)) == len(want)
+        assert set(ours) == want
+
+
+def test_family_order_above_the_limit_is_capacity_error():
+    with pytest.raises(CapacityError, match="beyond the limit"):
+        family_t_members(MAX_FAMILY_T_ORDER + 1)
 
 
 def test_family_empty_off_residue():
@@ -186,11 +239,9 @@ def test_p8_not_in_family():
 
 
 def test_certificates_replay_to_members():
-    from grundytd import are_isomorphic
-
-    for n in (5, 8, 11):
+    for n in range(2, 36, 3):
         for tree, cert in family_t_members(n):
-            assert are_isomorphic(replay_family_t_certificate(cert), tree)
+            assert replay_family_t_certificate(cert) == tree
             assert is_in_family_t(tree) is not None
 
 
@@ -319,6 +370,33 @@ def test_random_trees_obey_bound():
         assert Fraction(rep.gamma_grt) >= rep.bound
         member = is_in_family_t(t) is not None
         assert (Fraction(rep.gamma_grt) == rep.bound) == member
+
+
+def _sweep_every_tree(orders):
+    """Thm 5.1 and Thm 5.4 on every tree of each order; at orders 2 mod 3
+    the trees meeting 2(n+1)/3 are exactly as many as family_t_members."""
+    for n in orders:
+        trees = all_trees(n)
+        assert len(trees) == TREE_COUNTS[n - 1]
+        matching, bound = run_checks(SUITES["trees"], trees, "trees")
+        assert matching.passed and bound.passed, matching.counterexamples + bound.counterexamples
+        covered = [t for t in trees if tree_bound_applies(t)]
+        assert (matching.tested, bound.tested) == (len(trees), len(covered))
+        if n % 3 == 2:
+            extremal = [
+                t for t in covered
+                if 3 * grundy_total_domination_number(t)[0] == 2 * (n + 1)
+            ]
+            assert len(extremal) == len(family_t_members(n))
+
+
+def test_every_tree_to_order_12_obeys_thm_5_1_and_5_4():
+    _sweep_every_tree(range(2, 13))
+
+
+@pytest.mark.slow
+def test_every_tree_of_order_13_to_16_obeys_thm_5_1_and_5_4():
+    _sweep_every_tree(range(13, 17))
 
 
 # ---------- regular construction ----------
