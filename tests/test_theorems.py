@@ -7,7 +7,6 @@ import pytest
 import oracles
 from conftest import corpus, cubic_corpus, relabeled
 from grundytd import (
-    CapacityError,
     DomainError,
     FamilyTCertificate,
     Graph,
@@ -49,12 +48,7 @@ from grundytd import (
 from grundytd import smallgraphs, theorems
 from grundytd.checks import SUITES, run_checks
 from grundytd.smallgraphs import canonical_form
-from grundytd.theorems import (
-    MAX_FAMILY_T_ORDER,
-    _free_trees,
-    regular_bound_applies,
-    tree_bound_applies,
-)
+from grundytd.theorems import _free_trees, regular_bound_applies, tree_bound_applies
 
 
 # ---------- pair labelings (full-order sequences) ----------
@@ -178,7 +172,9 @@ TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19
 
 def all_trees(m):
     """Every tree on m vertices once, from the family's own generator."""
-    return [tree_from_edges(m, [(p, j) for j, p in enumerate(ps) if j]) for ps in _free_trees(m)]
+    return [
+        tree_from_edges(m, [(p, j) for j, p in enumerate(ps) if j]) for ps in _free_trees(m)
+    ]
 
 
 def test_free_trees_are_preorder_parent_lists_counted_by_a000055():
@@ -213,11 +209,6 @@ def test_family_members_match_the_reference_generator():
         want = {graph_canonical_form(t) for t, _ in oracles.family_t_reference(n)}
         assert len(ours) == len(set(ours)) == len(want)
         assert set(ours) == want
-
-
-def test_family_order_above_the_limit_is_capacity_error():
-    with pytest.raises(CapacityError, match="beyond the limit"):
-        family_t_members(MAX_FAMILY_T_ORDER + 1)
 
 
 def test_family_empty_off_residue():
