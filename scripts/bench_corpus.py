@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Time the connected-graph corpus from an empty cache, normalized by a reference loop.
+
+Usage:
+  python3 scripts/bench_corpus.py [--src DIR] [--label NAME] [--repeat N] [--out FILE]
+
+Each round empties the enumeration cache and times connected_graphs(n) for
+n = 7 and 8 (each call builds every lower order too).  The reference loop
+of scripts/bench_invariants.py runs before the first round and after every
+round; each time is divided by the mean of the two loops around its round,
+so `ref_units` stays comparable on a machine whose speed drifts.  Every
+figure is the median over --repeat rounds.
+
+One more pass, untimed, counts the calls of smallgraphs.canonical_form and
+smallgraphs._search for each order and digests each list (orders and
+adjacency rows, in list order), so two records with the same digest built
+the same list in the same order.
+
+--src picks the package source to import (default: src/ of this checkout),
+so that two checkouts are measured by the same script.  --out merges the
+record under --label into a JSON object in FILE, so that records of two
+commits sit side by side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+from bench_invariants import time_reference
+
+ROOT = Path(__file__).resolve().parent.parent
+ORDERS = (7, 8)
+
+
+def counted(smallgraphs, n: int) -> dict:
+    """Build connected_graphs(n) from an empty cache, counting calls."""
+    calls = {"canonical_form": 0, "_search": 0}
+    originals = {name: getattr(smallgraphs, name) for name in calls}
+
+    def counting(name):
+        def wrapper(*args):
+            calls[name] += 1
+            return originals[name](*args)
+
+        return wrapper
+
+    smallgraphs._connected_cache.clear()
+    for name in calls:
+        setattr(smallgraphs, name, counting(name))
+    try:
+        graphs = smallgraphs.connected_graphs(n)
+    finally:
+        for name, fn in originals.items():
+            setattr(smallgraphs, name, fn)
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(repr((g.n, g.adj)).encode())
+    return {"graphs": len(graphs), "calls": calls, "sha256": digest.hexdigest()}
+
+
+def run_round(smallgraphs) -> dict[str, float]:
+    times = {}
+    for n in ORDERS:
+        smallgraphs._connected_cache.clear()
+        start = perf_counter()
+        smallgraphs.connected_graphs(n)
+        times[f"connected_graphs({n})"] = perf_counter() - start
+    return times
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--label", default="current")
+    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--out")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from grundytd import smallgraphs
+
+    counts = {f"connected_graphs({n})": counted(smallgraphs, n) for n in ORDERS}
+    refs = [time_reference()]
+    rounds = []
+    for _ in range(args.repeat):
+        rounds.append(run_round(smallgraphs))
+        refs.append(time_reference())
+
+    timings = {}
+    for name in rounds[0]:
+        secs = [t[name] for t in rounds]
+        units = [t[name] * 2 / (refs[r] + refs[r + 1]) for r, t in enumerate(rounds)]
+        timings[name] = {
+            "s": round(statistics.median(secs), 5),
+            "ref_units": round(statistics.median(units), 4),
+        }
+    record = {
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "repeat": args.repeat,
+        "ref_s": round(statistics.median(refs), 5),
+        "timings": timings,
+        "counts": counts,
+    }
+    for name, t in timings.items():
+        c = counts[name]
+        print(
+            f"{name:22s} {t['s']:9.5f} s {t['ref_units']:9.4f} ref  {c['graphs']} graphs"
+            f"  canonical_form {c['calls']['canonical_form']}  _search {c['calls']['_search']}"
+            f"  sha256 {c['sha256'][:16]}"
+        )
+    print(f"ref_s {record['ref_s']}")
+    if args.out:
+        path = Path(args.out)
+        doc = json.loads(path.read_text()) if path.exists() else {}
+        doc[args.label] = record
+        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -61,6 +61,10 @@ def graph_from_graph6(text: str, line: int | None = None) -> Graph:
         n, start = (head[0] << 12) | (head[1] << 6) | head[2], 4
     if n < 1:
         raise ParseError("graph6 order must be >= 1", line)
+    try:
+        check_adjacency_bits(n)
+    except ParameterError as exc:
+        raise ParseError(str(exc), line) from None
     pairs = n * (n - 1) // 2
     need, body = (pairs + 5) // 6, len(s) - start
     if body != need:

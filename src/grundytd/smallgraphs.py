@@ -22,10 +22,18 @@ skipped subtree is an image of a searched one with the same bitstrings and
 the minimum, hence the certificate, is exactly that of the full search
 (tests/oracles.py keeps the full search as the reference).
 
-connected_graphs skips most duplicate children before canonicalizing them,
-by an edge-count rule and by the parent's automorphisms (see its
-docstring); its output is that of trying every child, which
-tests/oracles.py keeps as the reference.
+The recorded automorphisms generate all of Aut(G).  By induction from the
+leaves, every leaf of the unpruned tree is searched, or it is the image
+under recorded automorphisms of a searched leaf with the same integer.  Let
+o be the vertex order of the first leaf searched.  For s in Aut(G), s(o) is
+the order of a leaf with o's integer, so s(o) = h(o') for h in the generated
+group and o' a searched leaf's order with that integer; either o' = o, or
+meeting o' recorded the p with p(o) = o'.  So s is h or hp.
+
+connected_graphs skips most children by an edge-count rule and by the
+parent's automorphisms, and certifies only the rest that share a
+refinement invariant (see its docstring); its output is that of trying
+every child, which tests/oracles.py keeps as the reference.
 
 connected_regular_graphs is orderly (Meringer, "Fast generation of regular
 graphs", J. Graph Theory 30, 1999): computing no canonical form, its DFS
@@ -50,8 +58,8 @@ from .errors import CapacityError
 from .graph import Graph, bits
 
 # The largest orders the enumerations may build (2 shared vCPUs): connected
-# order 9 (261,080 classes) took about 580 s, cubic order 14 (509) takes
-# about 1 s, quartic and quintic order 10 (59 and 60) under 0.5 s each.
+# order 9 (261,080 classes) takes about 58 s, cubic order 14 (509) about
+# 1 s, quartic and quintic order 10 (59 and 60) under 0.5 s each.
 MAX_CONNECTED_ORDER = 9
 MAX_CUBIC_ORDER = 14
 MAX_REGULAR_ORDER = 10
@@ -80,7 +88,7 @@ def _refine(nbrs: list[list[int]], n: int, colors: list[int]) -> list[int]:
         sigs = [(colors[v] + 1) * span - sum(map(w_at, nbrs[v])) for v in range(n)]
         remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [remap[s] for s in sigs]
-        if new == colors:
+        if len(remap) == n or new == colors:  # a discrete colouring is stable
             return new
         colors = new
 
@@ -119,7 +127,6 @@ def _search(adj, n: int) -> tuple[int, list[list[int]]]:
             autos.append(perm)
 
     def search(colors: list[int], prefix: list[int]):
-        colors = _refine(nbrs, n, colors)
         if max(colors) == n - 1:  # colours are ranks 0..k-1: discrete
             leaf(colors)
             return
@@ -150,18 +157,18 @@ def _search(adj, n: int) -> tuple[int, list[list[int]]]:
             branched = list(colors)
             branched[v] = -1  # unique new color; refinement renumbers
             prefix.append(v)
-            search(branched, prefix)
+            search(_refine(nbrs, n, branched), prefix)
             prefix.pop()
 
-    # The first refinement pass from one colour ranks vertices by degree.
-    degrees = [len(row) for row in nbrs]
-    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    search([rank[d] for d in degrees], [])
-    _last_search[:] = adj, autos
+    search(_root_colors(nbrs, n), [])
     return best, autos
 
 
-_last_search: list = [None, []]  # the row list and autos of the latest _search
+def _root_colors(nbrs: list[list[int]], n: int) -> list[int]:
+    # The first refinement pass from one colour ranks vertices by degree.
+    degrees = [len(row) for row in nbrs]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    return _refine(nbrs, n, [rank[d] for d in degrees])
 
 
 def canonical_form(adj, n: int) -> bytes:
@@ -191,7 +198,7 @@ def _check_order(n: int, limit: int, what: str) -> None:
         )
 
 
-_connected_cache: dict[int, tuple[list[Graph], list[tuple]]] = {}  # graphs, autos
+_connected_cache: dict[int, list[Graph]] = {}
 
 
 def _components_without(rows, n: int, v: int) -> list[int]:
@@ -245,26 +252,35 @@ def connected_graphs(n: int) -> list[Graph]:
     """All connected graphs of the given order, one per isomorphism class.
 
     Level augmentation: every connected graph on k vertices has a vertex
-    whose removal leaves it connected, so attaching one new vertex w with
-    every nonempty neighborhood to every connected (k-1)-vertex graph and
-    deduplicating by canonical form reaches every class.  The result is
-    sorted by (edge count, rows), and each class keeps the first child in
-    parent order, then neighbourhood order, that reached it.
+    whose removal leaves it connected (a non-cut vertex), so attaching one
+    new vertex w with every nonempty neighbourhood to every connected
+    (k-1)-vertex graph reaches every class.  The result is sorted by (edge
+    count, rows), and each class keeps the first child in parent order, then
+    neighbourhood order, that reached it.
 
-    Two rules skip a child before its canonical form is computed.  Each
-    skips only children whose class an earlier child reached, so the result
-    is exactly that of trying every child.
-    - Degree rule: w has degree d.  If another vertex v has degree above d
-      and the child minus v is connected, the child minus v has fewer edges
-      than the parent, so its class is an earlier parent's in the sorted
-      list, and every class reachable from an earlier parent was already
-      seen (by induction on the parent index).  Ties go to the canonical
-      form.
+    Two rules skip a child.  Each skips only children whose class an earlier
+    child reached, so the result is exactly that of trying every child.
+    - Degree rule: w has degree d.  If a non-cut vertex v has degree above d,
+      the child minus v has fewer edges than the parent, so its class is an
+      earlier parent's in the sorted list, and every class reachable from an
+      earlier parent was already seen (by induction on the parent index).
     - Orbit rule: an automorphism of the parent maps the child with
       neighbourhood nb onto an isomorphic child, so only the smallest mask
       of each orbit is tried; masks go up, so it comes first.  The orbits
-      are those of the automorphisms that the parent's canonical search
-      recorded when it was a child (maybe a subgroup: it only skips less).
+      are exact: one _search per parent, run when this order is built (never
+      for the order asked for), records generators of Aut(parent) (see the
+      module docstring).
+    A child that passes both is certified only if another could match it.
+    - No tie: w is the only non-cut vertex of degree d.  An isomorphism from
+      another child that passed the degree rule maps that child's new
+      vertex, a non-cut vertex of greatest degree, onto w.  So it comes from
+      the same parent, parents being pairwise non-isomorphic, by a
+      neighbourhood in nb's orbit, which the orbit rule skipped: the child
+      is new.  Having a tie is thus a property of the class.
+    - Tie: children are grouped by their root refinement, each vertex's
+      colour with its neighbours' sorted colours.  The first of a group is
+      new and stays uncertified; from the second on, the whole group is
+      certified, and a child is new iff its certificate is.
 
     Orders above MAX_CONNECTED_ORDER raise CapacityError.
     """
@@ -272,43 +288,61 @@ def connected_graphs(n: int) -> list[Graph]:
     if n < 1:
         return []
     if n in _connected_cache:
-        return _connected_cache[n][0]
-    if n == 1:
-        level = [(Graph(1, (0,)), ())]
-    else:
-        connected_graphs(n - 1)
+        return _connected_cache[n]
+    level = [Graph(1, (0,))]
+    if n > 1:
         level = []
-        seen: set[bytes] = set()
+        groups: dict[int, list] = {}  # key hash -> certificates or pending rows
         w = n - 1
-        for parent, autos in zip(*_connected_cache[n - 1]):
-            rows_base = [row for row in parent.adj]
+        for parent in connected_graphs(n - 1):
+            rows_base = list(parent.adj)
             degrees = [row.bit_count() for row in rows_base]
             # components of the parent minus v, to tell whether child minus v
             # is connected: w must reach each of them
             splits = [(v, _components_without(rows_base, w, v)) for v in range(w)]
+            autos = _search(rows_base, w)[1]
             for nb in _neighborhood_representatives(w, autos):
-                d = nb.bit_count()
-                if any(
-                    degrees[v] + ((nb >> v) & 1) > d
-                    and all(nb & comp for comp in comps)
-                    for v, comps in splits
-                ):
-                    continue
-                rows = rows_base + [nb]
-                m = nb
-                while m:
-                    low = m & -m
-                    rows[low.bit_length() - 1] |= 1 << w
-                    m ^= low
-                cert = canonical_form(rows, n)
-                if cert not in seen:
-                    seen.add(cert)
-                    last, found = _last_search  # from canonical_form's search
-                    found = found if last is rows else _search(rows, n)[1]
-                    level.append((Graph(n, tuple(rows)), tuple(found)))
-        level.sort(key=lambda item: (item[0].edge_count(), item[0].adj))
-    _connected_cache[n] = ([g for g, _ in level], [a for _, a in level])
-    return _connected_cache[n][0]
+                d, tie = nb.bit_count(), False
+                for v, comps in splits:
+                    dv = degrees[v] + ((nb >> v) & 1)
+                    if dv >= d and all(nb & comp for comp in comps):
+                        if dv > d:
+                            break  # degree rule
+                        tie = True
+                else:
+                    rows = rows_base + [nb]
+                    m = nb
+                    while m:
+                        low = m & -m
+                        rows[low.bit_length() - 1] |= 1 << w
+                        m ^= low
+                    rows = tuple(rows)
+                    if tie and not _new_in_group(rows, n, groups):
+                        continue
+                    level.append(Graph(n, rows))
+        level.sort(key=lambda g: (g.edge_count(), g.adj))
+    _connected_cache[n] = level
+    return level
+
+
+def _new_in_group(rows: tuple, n: int, groups: dict[int, list]) -> bool:
+    """Whether no child met so far with the same root refinement is
+    isomorphic to rows; if none is, rows joins that group, pending."""
+    nbrs = [list(bits(row)) for row in rows]
+    colors = _root_colors(nbrs, n)
+    key = sorted(
+        (c, tuple(sorted(colors[u] for u in nbrs[v]))) for v, c in enumerate(colors)
+    )
+    # keyed by hash: two keys that share one only cost certificates
+    group = groups.setdefault(hash(tuple(key)), [])
+    member = rows
+    if group:
+        group[:] = [m if isinstance(m, bytes) else canonical_form(m, n) for m in group]
+        member = canonical_form(rows, n)
+        if member in group:
+            return False
+    group.append(member)
+    return True
 
 
 _regular_cache: dict[tuple[int, int], list[Graph]] = {}

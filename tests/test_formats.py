@@ -60,6 +60,18 @@ def test_edge_list_order_beyond_the_adjacency_limit_rejected():
         graph_from_edge_list("46342 0")
 
 
+def _graph6_header(n):
+    return "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
+
+
+def test_graph6_order_beyond_the_adjacency_limit_rejected():
+    # the limit is checked before the body length
+    with pytest.raises(ParseError, match="line 4: .*adjacency bits"):
+        graph_from_graph6(_graph6_header(46342), line=4)
+    with pytest.raises(ParseError, match="body has 0 characters"):
+        graph_from_graph6(_graph6_header(46341))
+
+
 def test_graph6_p3_roundtrip():
     s = graph_to_graph6(path(3))
     assert len(s) == 1 + 1  # one size byte + one adjacency byte

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from grundytd import (
     random_tree,
 )
 from grundytd import smallgraphs
-from grundytd.graph import is_connected
+from grundytd.graph import bits, is_connected
 from grundytd.smallgraphs import canonical_form
 
 
@@ -45,21 +46,41 @@ def test_connected_graphs_match_reference_generator_order_eight():
     assert connected_graphs(8) == oracles.connected_graphs_reference(8)
 
 
-def test_connected_graphs_skip_most_children_before_canonicalizing(monkeypatch):
-    # trying every child made 7,815 canonical_form calls up to order 7
+def test_connected_graphs_certify_only_children_that_could_be_isomorphic(monkeypatch):
+    # trying every child made 7,815 canonical_form calls up to order 7, and
+    # certifying each child that passed the degree and orbit rules 1,324
     calls = []
     canonical = smallgraphs.canonical_form
 
     def counting(adj, n):
-        cert = canonical(adj, n)
-        calls.append(cert)
-        return cert
+        calls.append(n)
+        return canonical(adj, n)
 
     monkeypatch.setattr(smallgraphs, "_connected_cache", {})
     monkeypatch.setattr(smallgraphs, "canonical_form", counting)
-    smallgraphs.connected_graphs(7)
-    assert len(set(calls)) == 995
-    assert len(calls) <= 1400
+    at_once = smallgraphs.connected_graphs(7)
+    assert len(calls) <= 700
+    monkeypatch.setattr(smallgraphs, "_connected_cache", {})
+    by_order = [smallgraphs.connected_graphs(n) for n in range(1, 8)]
+    assert at_once == by_order[-1]
+
+
+def _image(p, mask):
+    return sum(1 << p[v] for v in bits(mask))
+
+
+def test_search_records_a_generating_set_of_the_automorphism_group():
+    # the orbit rule of connected_graphs is exact only if they generate it
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            autos = smallgraphs._search(g.adj, n)[1]
+            group = [
+                p
+                for p in itertools.permutations(range(n))
+                if all(g.adj[p[v]] == _image(p, g.adj[v]) for v in range(n))
+            ]
+            orbit_minima = sorted({min(_image(p, m) for p in group) for m in range(1, 1 << n)})
+            assert smallgraphs._neighborhood_representatives(n, autos) == orbit_minima
 
 
 def test_cubic_counts():
