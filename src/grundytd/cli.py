@@ -57,10 +57,10 @@ def _read_text(path: str) -> str:
 def _graphs_from_text(text: str, fmt: str) -> list[Graph]:
     if fmt == "g6":
         out = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if line:
-                out.append(graph_from_graph6(line))
+                out.append(graph_from_graph6(line, lineno))
         return out
     if fmt == "edges":
         return [graph_from_edge_list(text)]
@@ -240,9 +240,8 @@ def cmd_verify(args) -> int:
 # -- generate ---------------------------------------------------------------------
 
 
-def _emit_graphs(graphs, args, certificates=None) -> None:
-    fmt = args.format or "g6"
-    if args.json:
+def _emit_graphs(graphs, fmt: str, as_json: bool = False, certificates=None) -> None:
+    if as_json:
         records = [{"n": g.n, "edges": [list(e) for e in g.edges()]} for g in graphs]
         for rec, cert in zip(records, certificates or ()):
             rec["certificate"] = {
@@ -264,6 +263,7 @@ def _emit_graphs(graphs, args, certificates=None) -> None:
 def cmd_generate(args) -> int:
     what = args.what
     limit = args.limit
+    fmt = args.format or "g6"
     if what == "familyT":
         if args.n is None:
             raise GrundyTDError("generate familyT needs --n")
@@ -278,7 +278,7 @@ def cmd_generate(args) -> int:
             return 0
         if limit is not None:
             members = members[:limit]
-        _emit_graphs([t for t, _ in members], args, [c for _, c in members])
+        _emit_graphs([t for t, _ in members], fmt, args.json, [c for _, c in members])
         return 0
     if what.startswith("connected:") or what.startswith("cubic:"):
         kind, _, rest = what.partition(":")
@@ -286,9 +286,9 @@ def cmd_generate(args) -> int:
         graphs = connected_graphs(n) if kind == "connected" else connected_cubic_graphs(n)
         if limit is not None:
             graphs = graphs[:limit]
-        _emit_graphs(graphs, args)
+        _emit_graphs(graphs, fmt, args.json)
         return 0
-    _emit_graphs([build_family(what)], args)
+    _emit_graphs([build_family(what)], fmt, args.json)
     return 0
 
 
@@ -408,17 +408,7 @@ def cmd_convert(args) -> int:
             raise GrundyTDError("hypergraphs only convert to hypergraph format")
         sys.stdout.write(hypergraph_to_text(hypergraph_from_text(text)))
         return 0
-    graphs = _graphs_from_text(text, src)
-    if dst == "g6":
-        for g in graphs:
-            print(graph_to_graph6(g))
-    elif dst == "edges":
-        for i, g in enumerate(graphs):
-            if i:
-                print()
-            sys.stdout.write(graph_to_edge_list(g))
-    else:
-        raise GrundyTDError(f"unsupported target format {dst!r}")
+    _emit_graphs(_graphs_from_text(text, src), dst)
     return 0
 
 

@@ -277,7 +277,6 @@ def compute_report(g: Graph, keys=None, cap: int | None = None) -> InvariantRepo
     if keys is None:
         keys = INVARIANT_KEYS
     else:
-        keys = tuple(TOKEN_TO_KEY.get(k, k) for k in keys)
         unknown = [k for k in keys if k not in _DISPATCH]
         if unknown:
             raise ParameterError(f"unknown invariants: {unknown}")

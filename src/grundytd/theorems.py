@@ -10,17 +10,15 @@ Everything here pairs a structural statement with an executable witness:
   * trees: value n iff a perfect matching exists, with an explicit
     children-before-parents sequence built from the matching.
   * trees without a strong support vertex: value >= 2(n+1)/3, equality
-    exactly for the leaf-path extension family T below.  Peel lemma: every
-    valid peel (a leaf path c-b-a whose anchor still supports a leaf
-    afterwards) of a member of order >= 5 leaves a member, so one greedy
-    pass of peels decides membership.  Family T of order 3m - 1 is
-    {S(H o K_1) : H a tree on m vertices}, where H o K_1 hangs a leaf on
-    every vertex of H and S subdivides each edge of H once.  The base P2 is
-    S(K_1 o K_1); the supports of S(H o K_1) are exactly the vertices of H,
-    and attaching a leg v-a-b-c at a support v gives S(H' o K_1) with H' =
-    H plus the leaf b on v.  So every member has this form, and H is read
-    back as the supports joined by the subdivided paths: trees and members
-    correspond one to one, up to isomorphism.
+    exactly for the leaf-path extension family T below.  Family T of order
+    3m - 1 is {S(H o K_1) : H a tree on m vertices}, where H o K_1 hangs a
+    leaf on every vertex of H and S subdivides each edge of H once.  The
+    base P2 is S(K_1 o K_1); the supports of S(H o K_1) are exactly the
+    vertices of H, and attaching a leg v-a-b-c at a support v gives
+    S(H' o K_1) with H' = H plus the leaf b on v.  So every member has this
+    form, and H is read back as the supports joined by the subdivided
+    paths: trees and members correspond one to one, up to isomorphism,
+    and membership is read off the leaves and their supports in one pass.
   * connected k-regular graphs (k >= 3, not balanced complete bipartite):
     a two-phase greedy construction whose length meets the proven lower
     bound, with a separate bipartite variant.
@@ -143,29 +141,16 @@ def pair_labeling_from_sequence(g: Graph, seq) -> PairLabeling:
 def complete_multipartite_parts(g: Graph):
     """Partition into independent parts with all cross edges, or None.
 
-    A graph is complete multipartite exactly when its complement is a
-    disjoint union of cliques; the parts are those cliques.
+    Vertices that share an open neighbourhood form a part, and the graph
+    is complete multipartite exactly when each such neighbourhood is the
+    complement of its part.  Parts come ordered by their lowest vertex.
     """
-    full = g.full_mask
-    co = [~g.adj[v] & full & ~(1 << v) for v in range(g.n)]
-    parts = []
-    unseen = full
-    while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= co[v]
-            frontier = nxt & ~comp
-            comp |= nxt
-        for v in bits(comp):
-            if co[v] != comp & ~(1 << v):
-                return None
-        parts.append(tuple(bits(comp)))
-        unseen &= ~comp
-    return tuple(parts)
+    parts: dict[int, int] = {}
+    for v, row in enumerate(g.adj):
+        parts[row] = parts.get(row, 0) | 1 << v
+    if any(row != g.full_mask & ~part for row, part in parts.items()):
+        return None
+    return tuple(tuple(bits(part)) for part in parts.values())
 
 
 def is_complete_multipartite(g: Graph) -> bool:
@@ -327,12 +312,21 @@ def _free_trees(m: int):
 MAX_FAMILY_T_ORDER = 50
 
 
+def _family_t_certificate(n: int, parents, hs, leaves, subs) -> FamilyTCertificate:
+    """The trace of S(H o K_1) for a tree H given as a parent list that
+    lists every parent before its children: H-vertex j has id hs[j], its
+    leaf leaves[j] and the vertex on the edge to its parent subs[j].  The
+    base is H-vertex 0 and its leaf; step j attaches subs[j]-hs[j]-leaves[j]
+    at the parent."""
+    steps = tuple((hs[p], (subs[j], hs[j], leaves[j])) for j, p in enumerate(parents) if j)
+    return FamilyTCertificate(n, (hs[0], leaves[0]), steps)
+
+
 def family_t_members(n: int) -> list[tuple[Graph, FamilyTCertificate]]:
     """S(H o K_1) for each tree H on (n + 1)/3 vertices: one family member
     per isomorphism class.  H-vertex j in preorder gets id 3j, its leaf
-    3j + 1 and the vertex on the edge to its parent 3j - 1; the certificate
-    attaches the H-vertices in preorder.  Orders above MAX_FAMILY_T_ORDER
-    raise CapacityError."""
+    3j + 1 and the vertex on the edge to its parent 3j - 1.  Orders above
+    MAX_FAMILY_T_ORDER raise CapacityError."""
     if n > MAX_FAMILY_T_ORDER:
         raise CapacityError(
             f"enumerating family T graphs of order {n} is beyond the limit "
@@ -342,67 +336,58 @@ def family_t_members(n: int) -> list[tuple[Graph, FamilyTCertificate]]:
         return []
     out = []
     for ps in _free_trees((n + 1) // 3):
-        legs = tuple((3 * p, (3 * j - 1, 3 * j, 3 * j + 1)) for j, p in enumerate(ps) if j)
-        cert = FamilyTCertificate(n, (0, 1), legs)
+        cert = _family_t_certificate(n, ps, range(0, n, 3), range(1, n, 3), range(-1, n, 3))
         out.append((replay_family_t_certificate(cert), cert))
     return out
 
 
 def is_in_family_t(t: Graph) -> FamilyTCertificate | None:
-    """Membership test by one greedy pass of leaf-path peels.
+    """The family certificate of the tree t, or None if t is not a member.
 
-    A member larger than an edge came from attaching a path a-b-c to a
-    support vertex v.  A valid peel removes a leaf chain c-b-a-v with
-    deg(b) = deg(a) = 2 whose anchor v still supports a leaf afterwards;
-    the pass takes the valid peel with the smallest c until an edge is
-    left.  No backtracking is needed, by the peel lemma: every valid peel
-    of a member T of order >= 5 leaves a member.  By induction on the
-    order, let T come from the member T0 by attaching a'-b'-c' at v'.
-    Peeling a'-b'-c' leaves T0.  The only other peel that meets a'-b'-c' is
-    on T = P5, and both of its peels leave an edge.  Any other peel lies in
-    T0 and is valid there, so T0 minus a-b-c is a member; v' still
-    supports a leaf in it, and attaching a'-b'-c' at v' gives T minus
-    a-b-c.  So a member never runs out of peels, and a non-member never
-    reaches an edge, since the peels read backwards would build it.
+    Above order 2, t of order n = 3m - 1 is S(H o K_1) iff every support
+    vertex has exactly one leaf, there are m supports, and every other
+    non-leaf vertex has only supports as neighbours.  Then t has m leaves
+    and m - 1 other vertices, each of degree 2 or more, and only n - 1 =
+    m + 2(m - 1) edges: so those vertices have degree 2 and no two supports
+    are adjacent.  H, the supports joined through the degree-2 vertices, is
+    a tree, and a BFS over H from its lowest vertex builds the certificate.
+    Order 2 is the base P2.
     """
     _require_tree(t)
-    if t.n % 3 != 2:
+    n = t.n
+    if n % 3 != 2:
         return None
-    present = t.full_mask
-    steps = []
-    while present.bit_count() > 2:
-        for c in bits(present):
-            b_mask = t.adj[c] & present
-            if b_mask.bit_count() != 1:
-                continue
-            b = b_mask.bit_length() - 1
-            a_mask = t.adj[b] & present & ~(1 << c)
-            if a_mask.bit_count() != 1:
-                continue
-            a = a_mask.bit_length() - 1
-            v_mask = t.adj[a] & present & ~(1 << b)
-            if v_mask.bit_count() != 1:
-                continue
-            v = v_mask.bit_length() - 1
-            rest = present & ~((1 << a) | (1 << b) | (1 << c))
-            if any((t.adj[w] & rest).bit_count() == 1 for w in bits(t.adj[v] & rest)):
-                break
-        else:
-            return None
-        steps.append((v, (a, b, c)))
-        present = rest
-    # peels keep the subtree connected, so the two vertices left are an edge
-    u, v = bits(present)
-    cert = FamilyTCertificate(t.n, (u, v), tuple(reversed(steps)))
-    rebuilt = replay_family_t_certificate(cert)
-    if rebuilt != t:
+    leaves = sum(1 << v for v in range(n) if t.adj[v].bit_count() == 1)
+    supports = 0
+    for v in bits(leaves):
+        supports |= t.adj[v]
+    if n > 2 and (
+        supports.bit_count() != (n + 1) // 3
+        or any((t.adj[s] & leaves).bit_count() != 1 for s in bits(supports))
+        or any(t.adj[v] & ~supports for v in bits(t.full_mask & ~leaves & ~supports))
+    ):
+        return None
+    hs, parents, subs = [(supports & -supports).bit_length() - 1], [-1], [-1]
+    done = 0
+    for j, h in enumerate(hs):
+        for s in bits(t.adj[h] & ~leaves & ~done):
+            done |= 1 << s
+            hs.append((t.adj[s] & ~(1 << h)).bit_length() - 1)
+            parents.append(j)
+            subs.append(s)
+    cert = _family_t_certificate(
+        n, parents, hs, [(t.adj[h] & leaves).bit_length() - 1 for h in hs], subs
+    )
+    if replay_family_t_certificate(cert) != t:
         raise InvariantViolation("family certificate replay mismatch")
     return cert
 
 
 @dataclass(frozen=True)
 class TreeBoundReport:
-    """How a tree sits relative to the 2(n+1)/3 lower bound."""
+    """How a tree sits relative to the 2(n+1)/3 lower bound.  When the bound
+    applies, certificate is the tree's family T certificate, or None if the
+    tree is not a member."""
 
     applicable: bool
     bound: Fraction | None
@@ -429,10 +414,8 @@ def tree_bound_report(t: Graph, rep: solver.InvariantReport) -> TreeBoundReport:
     if not applicable:
         return TreeBoundReport(False, None, value, None, None, None)
     bound = Fraction(2 * (t.n + 1), 3)
-    meets = value >= bound
-    equality = value == bound
-    cert = is_in_family_t(t) if equality else None
-    return TreeBoundReport(True, bound, value, meets, equality, cert)
+    cert = is_in_family_t(t)
+    return TreeBoundReport(True, bound, value, value >= bound, value == bound, cert)
 
 
 # -- regular graphs: the two-phase greedy construction -----------------------------

@@ -703,6 +703,19 @@ def game_cover_value_unpruned(masks, universe):
     return total, trace
 
 
+def complete_multipartite_parts(g):
+    """The parts of a complete multipartite graph, or None, from the
+    definition: being equal or non-adjacent must be an equivalence
+    relation, and its classes are the parts, ordered by lowest vertex."""
+    classes = [
+        frozenset(v for v in range(g.n) if v == u or not g.adj[u] >> v & 1)
+        for u in range(g.n)
+    ]
+    if any(classes[v] != classes[u] for u in range(g.n) for v in classes[u]):
+        return None
+    return tuple(sorted({tuple(sorted(c)) for c in classes}))
+
+
 _family_t_reference_cache = {}
 
 

@@ -347,6 +347,16 @@ def test_parse_error_reported(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["compute", "sweep"])
+def test_graph6_error_names_its_line(tmp_path, capsys, command):
+    f = tmp_path / "bad.g6"
+    f.write_text("A_\nB?x\n")
+    argv = ["compute", "--graph", str(f)] if command == "compute" else ["sweep", f"g6:{f}"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: graph6 body has 2 characters, expected 1\n"
+
+
 def test_oversized_edge_list_header_is_usage_error(tmp_path, capsys):
     f = tmp_path / "huge.txt"
     f.write_text("99999999999 0\n")

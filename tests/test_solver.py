@@ -15,6 +15,7 @@ from grundytd import (
     DomainError,
     Graph,
     InvariantViolation,
+    ParameterError,
     build_family,
     complete,
     compute_report,
@@ -213,6 +214,11 @@ def test_report_reuses_memory_of_a_finished_search():
 def test_report_subset_of_keys():
     rep = compute_report(path(6), keys=["gamma_t", "gamma_grt"])
     assert sorted(rep.results) == ["gamma_grt", "gamma_t"]
+
+
+def test_report_takes_keys_not_cli_tokens():
+    with pytest.raises(ParameterError, match="grt"):
+        compute_report(path(4), ["grt"])
 
 
 def test_named_fixture_values():

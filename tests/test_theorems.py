@@ -17,6 +17,7 @@ from grundytd import (
     bipartition,
     bound_report,
     build_family,
+    complete_multipartite,
     complete_multipartite_parts,
     compute_report,
     connected_regular_graphs,
@@ -133,6 +134,19 @@ def test_value_two_iff_multipartite_small(connected_upto_6):
         assert is_complete_multipartite(g) == expected
 
 
+def test_multipartite_parts_match_the_definition(connected_upto_7):
+    rng = random.Random(7)
+    sizes = [(1,), (4,), (1, 1, 1), (2, 3), (1, 2, 4), (3, 1, 3, 2)]
+    graphs = list(connected_upto_7)
+    graphs += [relabeled(complete_multipartite(s), rng) for s in sizes]
+    found = 0
+    for g in graphs:
+        parts = complete_multipartite_parts(g)
+        assert parts == oracles.complete_multipartite_parts(g), g.adj
+        found += parts is not None
+    assert found > len(sizes)
+
+
 # ---------- tree perfect matchings and witness sequences ----------
 
 
@@ -236,39 +250,6 @@ def test_certificates_replay_to_members():
             assert is_in_family_t(tree) is not None
 
 
-def _valid_peels(t):
-    """t minus each leaf path c-b-a (deg b = deg a = 2) whose anchor v still
-    supports a leaf afterwards, relabelled onto 0..n-4."""
-    nbrs = [[u for u in range(t.n) if t.has_edge(v, u)] for v in range(t.n)]
-    for c in range(t.n):
-        if len(nbrs[c]) != 1:
-            continue
-        (b,) = nbrs[c]
-        if len(nbrs[b]) != 2:
-            continue
-        (a,) = [x for x in nbrs[b] if x != c]
-        if len(nbrs[a]) != 2:
-            continue
-        (v,) = [x for x in nbrs[a] if x != b]
-        index = {x: i for i, x in enumerate(x for x in range(t.n) if x not in (a, b, c))}
-        edges = [(index[x], index[y]) for x, y in t.edges() if x in index and y in index]
-        rest = Graph.from_edges(t.n - 3, edges)
-        if any(rest.degree(index[w]) == 1 for w in nbrs[v] if w in index):
-            yield rest
-
-
-def test_every_valid_peel_of_a_member_leaves_a_member():
-    # the peel lemma behind is_in_family_t's single greedy pass
-    peels = 0
-    for n in range(5, 27, 3):
-        smaller = {graph_canonical_form(t) for t, _ in family_t_members(n - 3)}
-        for tree, _ in family_t_members(n):
-            for rest in _valid_peels(tree):
-                assert graph_canonical_form(rest) in smaller, tree.adj
-                peels += 1
-    assert peels > len(family_t_members(26))
-
-
 @pytest.mark.parametrize(
     "n, steps, message",
     [
@@ -284,9 +265,9 @@ def test_replay_rejects_malformed_certificates(n, steps, message):
         replay_family_t_certificate(FamilyTCertificate(n, (0, 1), steps))
 
 
-def test_greedy_peel_rejects_a_large_non_member_quickly():
+def test_recognition_rejects_a_large_non_member_quickly():
     # a hub with one leaf, 13 legs of three vertices and a 6-vertex path:
-    # order 47, no strong support vertex, and no peel ever takes the path
+    # order 47, no strong support vertex, and two degree-2 vertices in a row
     edges = [(0, 1)]
     for leg in range(13):
         x = 2 + 3 * leg
@@ -297,10 +278,53 @@ def test_greedy_peel_rejects_a_large_non_member_quickly():
     assert is_in_family_t(t) is None
 
 
+def test_family_t_membership_matches_every_tree_to_order_14():
+    # includes the trees with a strong support vertex, which the checker skips
+    rng = random.Random(14)
+    for n in range(2, 15):
+        forms = {graph_canonical_form(t) for t, _ in family_t_members(n)}
+        found = 0
+        for t in all_trees(n):
+            t = relabeled(t, rng)
+            cert = is_in_family_t(t)
+            if n % 3 != 2:
+                assert cert is None
+                continue
+            assert (cert is not None) == (graph_canonical_form(t) in forms), t.adj
+            if cert is not None:
+                assert replay_family_t_certificate(cert) == t
+                found += 1
+        assert found == len(forms)
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        pytest.param(
+            8,
+            [(0, 1), (0, 2), (0, 3), (3, 4), (0, 5), (5, 6), (6, 7)],
+            id="a support with two leaves",
+        ),
+        pytest.param(
+            8,
+            [(0, 1), (1, 2), (2, 3), (0, 4), (1, 5), (2, 6), (3, 7)],
+            id="four supports at order 8",
+        ),
+        pytest.param(
+            11,
+            [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (1, 7), (2, 8), (4, 9), (6, 10)],
+            id="a degree-3 non-support vertex",
+        ),
+    ],
+)
+def test_trees_failing_one_condition_are_not_members(n, edges):
+    assert is_in_family_t(tree_from_edges(n, edges)) is None
+
+
 @pytest.mark.parametrize("n", [pytest.param(8, marks=pytest.mark.slow), 11, 14])
 def test_family_t_membership_matches_enumeration(n):
     # every tree of order 8, or 200 random trees, plus every member; all
-    # relabelled so the peel does not meet the members' own vertex order
+    # relabelled so the recognizer does not meet the members' own vertex order
     rng = random.Random(n)
     members = family_t_members(n)
     forms = {graph_canonical_form(t) for t, _ in members}
