@@ -65,13 +65,10 @@ _EXPORTS = {
         "transversal_to_covering",
     ),
     "sequences": (
-        "GreedyResult",
         "LegalityReport",
-        "check_legal",
-        "greedy_extend",
+        "check_cover_sequence",
         "is_dominating_sequence",
         "is_total_dominating_sequence",
-        "prune_to_closed",
     ),
     "smallgraphs": (
         "are_isomorphic",
@@ -114,6 +111,7 @@ _EXPORTS = {
         "is_complete_multipartite",
         "is_in_family_t",
         "pair_labeling_from_sequence",
+        "prune_to_closed",
         "regular_greedy_sequence",
         "regular_lower_bound",
         "replay_family_t_certificate",

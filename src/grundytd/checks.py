@@ -54,7 +54,6 @@ from .hypergraph import (
     open_neighborhood_hypergraph,
     transversal_to_covering,
 )
-from .sequences import prune_to_closed
 from .solver import InvariantReport
 
 
@@ -185,7 +184,7 @@ def check_closed_ratio(g: Graph, rep: InvariantReport, cap=None) -> CheckResult:
     if grt > 2 * gr:
         return _fail("closed-ratio", g, f"gamma_grt={grt} > 2*gamma_gr={2 * gr}")
     try:
-        pruned = prune_to_closed(g, rep.witness("gamma_grt"))
+        pruned = theorems.prune_to_closed(g, rep.witness("gamma_grt"))
     except InvariantViolation as exc:
         return _fail("closed-ratio", g, f"pruning failed: {exc}")
     if 2 * len(pruned) < grt:

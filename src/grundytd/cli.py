@@ -24,10 +24,10 @@ from typing import TYPE_CHECKING
 
 from .errors import CapacityError, GrundyTDError, InvariantViolation
 from .formats import (
-    graph_from_edge_list,
     graph_from_graph6,
     graph_to_edge_list,
     graph_to_graph6,
+    graphs_from_edge_list,
     hypergraph_from_text,
     hypergraph_to_text,
 )
@@ -63,7 +63,7 @@ def _graphs_from_text(text: str, fmt: str) -> list[Graph]:
                 out.append(graph_from_graph6(line, lineno))
         return out
     if fmt == "edges":
-        return [graph_from_edge_list(text)]
+        return graphs_from_edge_list(text)
     raise GrundyTDError(f"unsupported graph format {fmt!r}")
 
 

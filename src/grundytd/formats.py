@@ -110,38 +110,54 @@ def graph_to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_from_edge_list(text: str) -> Graph:
-    it = _content_lines(text)
-    try:
-        lineno, head = next(it)
-    except StopIteration:
-        raise ParseError("empty edge list input") from None
-    parts = head.split()
-    if len(parts) != 2:
-        raise ParseError("header must be '<order> <edge count>'", lineno)
-    n, m = _ints(parts, lineno)
-    if n < 1:
-        raise ParseError(f"order must be >= 1, got {n}", lineno)
-    if n > MAX_ORDER:
-        raise ParseError(f"orders beyond {MAX_ORDER} not supported", lineno)
-    try:
-        check_adjacency_bits(n)
-    except ParameterError as exc:
-        raise ParseError(str(exc), lineno) from None
-    edges = []
-    for lineno, line in it:
-        parts = line.split()
+def graphs_from_edge_list(text: str) -> list[Graph]:
+    """The graphs of an edge-list text, back to back as the CLI writes them:
+    a header, its m edge lines, then a blank or comment line before the
+    next header.  An edge line right after the m-th is an error."""
+    lines = list(_content_lines(text))
+    if not lines:
+        raise ParseError("empty edge list input")
+    graphs, at = [], 0
+    while at < len(lines):
+        lineno, head = lines[at]
+        parts = head.split()
         if len(parts) != 2:
-            raise ParseError("edge lines must be '<u> <v>'", lineno)
-        u, v = _ints(parts, lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"edge ({u},{v}) out of range for order {n}", lineno)
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", lineno)
-        edges.append((u, v))
-    if len(edges) != m:
-        raise ParseError(f"header promised {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+            raise ParseError("header must be '<order> <edge count>'", lineno)
+        n, m = _ints(parts, lineno)
+        if n < 1:
+            raise ParseError(f"order must be >= 1, got {n}", lineno)
+        if n > MAX_ORDER:
+            raise ParseError(f"orders beyond {MAX_ORDER} not supported", lineno)
+        try:
+            check_adjacency_bits(n)
+        except ParameterError as exc:
+            raise ParseError(str(exc), lineno) from None
+        edges = []
+        for lineno, line in lines[at + 1 : at + 1 + max(m, 0)]:
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError("edge lines must be '<u> <v>'", lineno)
+            u, v = _ints(parts, lineno)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(f"edge ({u},{v}) out of range for order {n}", lineno)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", lineno)
+            edges.append((u, v))
+        if len(edges) != m:
+            raise ParseError(f"header promised {m} edges, found {len(edges)}", lines[at][0])
+        at += 1 + m
+        if at < len(lines) and lines[at][0] == lineno + 1:
+            raise ParseError(f"header promised {m} edges, found more", lines[at][0])
+        graphs.append(Graph.from_edges(n, edges))
+    return graphs
+
+
+def graph_from_edge_list(text: str) -> Graph:
+    """The graph of an edge-list text that holds exactly one."""
+    graphs = graphs_from_edge_list(text)
+    if len(graphs) != 1:
+        raise ParseError(f"expected one graph, found {len(graphs)}")
+    return graphs[0]
 
 
 # -- hypergraph --------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Certificate checkers for every witness, plus greedy extension and pruning.
+"""Certificate checkers for every witness, and nothing else.
 
 Every sequence notion here is one cover problem over a family of masks:
 entry i of a sequence picks masks[i], and the sequence is legal when each
@@ -11,30 +11,15 @@ covers (total dominating sets, edge covers) and their minimality.
 
 These are the certificate checkers for everything the solvers and
 constructions produce, so they deliberately share no code with the search
-kernels.
+kernels or with the constructions in theorems.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    InvariantViolation,
-    ParameterError,
-    PreconditionError,
-    SequenceError,
-)
-from .graph import Graph, bits
-
-Mode = str  # "open" | "closed"
-
-
-def _masks(g: Graph, mode: Mode):
-    if mode == "open":
-        return g.adj
-    if mode == "closed":
-        return g.closed_masks()
-    raise ParameterError(f"mode must be 'open' or 'closed', got {mode!r}")
+from .errors import InvariantViolation, SequenceError
+from .graph import Graph
 
 
 def _distinct(seq, size: int, what: str) -> list[int]:
@@ -61,13 +46,12 @@ class LegalityReport:
 
     footprints[pos] is the mask of the universe elements that the entry at
     position pos covered first; there is one mask per legal entry, so for
-    an illegal sequence they describe the longest legal prefix.
+    an illegal sequence they describe the longest legal prefix, and the
+    first illegal entry sits at position len(footprints).
     """
 
     legal: bool
-    first_violation: int | None
     footprints: tuple[int, ...]
-    dominated_mask: int
     complete: bool
 
 
@@ -81,21 +65,13 @@ def check_cover_sequence(masks, universe: int, seq, what: str = "vertex") -> Leg
     entries = _distinct(seq, len(masks), what)
     footprints: list[int] = []
     rest = universe
-    violation: int | None = None
-    for pos, i in enumerate(entries):
+    for i in entries:
         new = masks[i] & rest
         if not new:
-            violation = pos
-            break
+            return LegalityReport(False, tuple(footprints), False)
         footprints.append(new)
         rest ^= new
-    return LegalityReport(
-        legal=violation is None,
-        first_violation=violation,
-        footprints=tuple(footprints),
-        dominated_mask=universe ^ rest,
-        complete=violation is None and not rest,
-    )
+    return LegalityReport(True, tuple(footprints), not rest)
 
 
 def is_cover(masks, universe: int, chosen, what: str = "vertex") -> bool:
@@ -119,11 +95,6 @@ def is_minimal_cover(masks, universe: int, chosen) -> bool:
     return all(masks[i] & private for i in entries)
 
 
-def check_legal(g: Graph, seq, mode: Mode = "open") -> LegalityReport:
-    """Legality and footprints of a vertex sequence of g, open or closed."""
-    return check_cover_sequence(_masks(g, mode), g.full_mask, seq)
-
-
 def is_total_dominating_sequence(g: Graph, seq) -> bool:
     """Legal open-neighborhood sequence whose entries dominate every vertex."""
     return check_cover_sequence(g.adj, g.full_mask, seq).complete
@@ -133,94 +104,3 @@ def is_dominating_sequence(g: Graph, seq) -> bool:
     """Legal closed-neighborhood sequence dominating every vertex."""
     return check_cover_sequence(g.closed_masks(), g.full_mask, seq).complete
 
-
-@dataclass(frozen=True)
-class GreedyResult:
-    sequence: tuple[int, ...]
-    complete: bool
-
-
-def greedy_extend(g: Graph, prefix, restrict_to=None, target=None) -> GreedyResult:
-    """Greedily extend a legal open-neighborhood prefix until done or stuck.
-
-    Each appended vertex must be adjacent to an already dominated vertex
-    (so an empty prefix cannot grow) and footprint at least one new target
-    vertex; among those candidates the one footprinting the fewest new
-    target vertices wins, ties to the lowest id.  restrict_to limits which
-    vertices may be appended; target limits which vertices must end up
-    dominated (all by default).  Returns the full sequence and whether the
-    target is completely dominated; an exhausted candidate pool short of
-    completion reports complete=False rather than raising.
-    """
-    report = check_cover_sequence(g.adj, g.full_mask, prefix)
-    if not report.legal:
-        raise PreconditionError(
-            "prefix is not a legal open-neighborhood sequence "
-            f"(violation at position {report.first_violation})"
-        )
-
-    def vertex_set_mask(vs, what: str) -> int:
-        mask = 0
-        for v in vs:
-            if not (0 <= v < g.n):
-                raise ParameterError(f"{what} vertex {v} out of range")
-            mask |= 1 << v
-        return mask
-
-    target_mask = g.full_mask if target is None else vertex_set_mask(target, "target")
-    pool_mask = g.full_mask if restrict_to is None else vertex_set_mask(
-        restrict_to, "restrict_to"
-    )
-
-    seq = list(prefix)
-    used = 0
-    for v in seq:
-        used |= 1 << v
-    dominated = report.dominated_mask
-
-    while target_mask & ~dominated:
-        best_v = -1
-        best_score = 0
-        for v in bits(pool_mask & ~used):
-            new_targets = g.adj[v] & ~dominated & target_mask
-            if not new_targets or not (g.adj[v] & dominated):
-                continue
-            score = new_targets.bit_count()
-            if best_v < 0 or score < best_score:
-                best_v = v
-                best_score = score
-        if best_v < 0:
-            return GreedyResult(tuple(seq), False)
-        seq.append(best_v)
-        used |= 1 << best_v
-        dominated |= g.adj[best_v]
-    return GreedyResult(tuple(seq), True)
-
-
-def prune_to_closed(g: Graph, seq) -> list[int]:
-    """Turn a total dominating sequence into a legal closed-neighborhood one.
-
-    Drops every entry whose footprints all lie among the earlier entries
-    themselves; what remains is legal with closed neighborhoods.  At most
-    half of the entries can be dropped, since an entry removed this way
-    needs a distinct earlier entry as a footprint.  The result generally
-    needs further extension to dominate everything.
-    """
-    report = check_legal(g, seq, "open")
-    if not report.complete:
-        raise PreconditionError("input must be a total dominating sequence")
-    entries = list(seq)
-    kept: list[int] = []
-    earlier = 0
-    for v, new in zip(entries, report.footprints):
-        if new & ~earlier:
-            kept.append(v)
-        earlier |= 1 << v
-    if len(kept) * 2 < len(entries):
-        raise InvariantViolation(
-            "pruning removed more than half the entries, which is impossible"
-        )
-    verify = check_legal(g, kept, "closed")
-    if not verify.legal:
-        raise InvariantViolation("pruned sequence is not closed-legal")
-    return kept

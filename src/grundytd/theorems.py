@@ -7,6 +7,9 @@ Everything here pairs a structural statement with an executable witness:
     and no y_j adjacent to an earlier x_i; extracted by peeling a maximum
     sequence (footprinting is an involution in the length-n case).
   * value 2 iff the graph is complete multipartite.
+  * gamma_grt <= 2 gamma_gr: pruning a total dominating sequence down to
+    the entries that footprint a vertex outside the earlier entries leaves
+    a legal closed-neighborhood sequence of at least half its length.
   * trees: value n iff a perfect matching exists, with an explicit
     children-before-parents sequence built from the matching.
   * trees without a strong support vertex: value >= 2(n+1)/3, equality
@@ -34,13 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import solver
-from .errors import (
-    CapacityError,
-    DomainError,
-    InvariantViolation,
-    ParameterError,
-    PreconditionError,
-)
+from .errors import CapacityError, DomainError, InvariantViolation, PreconditionError
 from .graph import (
     Graph,
     bipartition,
@@ -48,7 +45,7 @@ from .graph import (
     is_connected,
     strong_support_vertices,
 )
-from .sequences import check_legal, greedy_extend, is_total_dominating_sequence
+from .sequences import check_cover_sequence, is_total_dominating_sequence
 from .smallgraphs import canonical_form  # noqa: F401  perfbench/tracer.py rebinds it here
 
 
@@ -104,8 +101,8 @@ def pair_labeling_from_sequence(g: Graph, seq) -> PairLabeling:
     partner) and the partner footprints it back; scanning the sequence and
     removing pairs as they appear yields the labeling order.
     """
-    report = check_legal(g, seq, "open")
-    if not (report.legal and report.complete and len(seq) == g.n):
+    report = check_cover_sequence(g.adj, g.full_mask, seq)
+    if not (report.complete and len(seq) == g.n):
         raise PreconditionError("need a total dominating sequence of length n")
     partner: dict[int, int] = {}
     for v, stamped in zip(seq, report.footprints):
@@ -162,6 +159,36 @@ def is_balanced_complete_bipartite(g: Graph, k: int) -> bool:
         return False
     parts = complete_multipartite_parts(g)
     return parts is not None and sorted(len(p) for p in parts) == [k, k]
+
+
+# -- open against closed sequences (gamma_grt <= 2 gamma_gr) ----------------------
+
+
+def prune_to_closed(g: Graph, seq) -> list[int]:
+    """Turn a total dominating sequence into a legal closed-neighborhood one.
+
+    Drops every entry whose footprints all lie among the earlier entries
+    themselves; what remains is legal with closed neighborhoods.  At most
+    half of the entries can be dropped, since an entry removed this way
+    needs a distinct earlier entry as a footprint.  The result generally
+    needs further extension to dominate everything.
+    """
+    report = check_cover_sequence(g.adj, g.full_mask, seq)
+    if not report.complete:
+        raise PreconditionError("input must be a total dominating sequence")
+    entries = list(seq)
+    kept, earlier = [], 0
+    for v, new in zip(entries, report.footprints):
+        if new & ~earlier:
+            kept.append(v)
+        earlier |= 1 << v
+    if len(kept) * 2 < len(entries):
+        raise InvariantViolation(
+            "pruning removed more than half the entries, which is impossible"
+        )
+    if not check_cover_sequence(g.closed_masks(), g.full_mask, kept).legal:
+        raise InvariantViolation("pruned sequence is not closed-legal")
+    return kept
 
 
 # -- trees: perfect matchings ----------------------------------------------------
@@ -474,6 +501,28 @@ def _seed_pair(g: Graph, pool) -> tuple[int, int]:
     return best
 
 
+def _greedy_sequence(g: Graph, seed, pool: int, target: int) -> list[int] | None:
+    """Extend the legal seed pair by vertices of the pool mask until the
+    target mask is dominated; None when no vertex qualifies first.  A vertex
+    qualifies when it is adjacent to a dominated vertex and footprints a new
+    target vertex; the one footprinting the fewest wins, ties to the lowest
+    id."""
+    u, w = seed
+    seq, used, dominated = [u, w], 1 << u | 1 << w, g.adj[u] | g.adj[w]
+    while target & ~dominated:
+        best, fewest = -1, 0
+        for v in bits(pool & ~used):
+            new = (g.adj[v] & target & ~dominated).bit_count()
+            if new and g.adj[v] & dominated and (best < 0 or new < fewest):
+                best, fewest = v, new
+        if best < 0:
+            return None
+        seq.append(best)
+        used |= 1 << best
+        dominated |= g.adj[best]
+    return seq
+
+
 def regular_greedy_sequence(g: Graph) -> RegularConstruction:
     """Build the bound-meeting sequence for a connected k-regular graph.
 
@@ -481,7 +530,9 @@ def regular_greedy_sequence(g: Graph) -> RegularConstruction:
     vertex adjacent to the dominated region that footprints as few new
     vertices as possible.  Bipartite: run the same process from each side
     separately (side A dominating side B, then the reverse) and
-    concatenate.  The domain is that of the bound (regular_bound_applies).
+    concatenate.  The seed pair has equal degrees and is no pair of twins,
+    so it is legal; the whole sequence is checked at the end.  The domain
+    is that of the bound (regular_bound_applies).
     """
     if not regular_bound_applies(g):
         raise DomainError(
@@ -491,17 +542,16 @@ def regular_greedy_sequence(g: Graph) -> RegularConstruction:
     k = g.max_degree()
     sides = bipartition(g)
     if sides is None:
-        res = greedy_extend(g, _seed_pair(g, range(g.n)))
-        if not res.complete:
+        seq = _greedy_sequence(g, _seed_pair(g, range(g.n)), g.full_mask, g.full_mask)
+        if seq is None:
             raise InvariantViolation("extension stalled on a non-bipartite input")
-        seq = res.sequence
     else:
-        side_a, side_b = sides
-        part_a = greedy_extend(g, _seed_pair(g, side_a), restrict_to=side_a, target=side_b)
-        part_b = greedy_extend(g, _seed_pair(g, side_b), restrict_to=side_b, target=side_a)
-        if not (part_a.complete and part_b.complete):
+        a, b = (sum(1 << v for v in side) for side in sides)
+        part_a = _greedy_sequence(g, _seed_pair(g, sides[0]), a, b)
+        part_b = _greedy_sequence(g, _seed_pair(g, sides[1]), b, a)
+        if part_a is None or part_b is None:
             raise InvariantViolation("one-sided extension stalled")
-        seq = part_a.sequence + part_b.sequence
+        seq = part_a + part_b
 
     if not is_total_dominating_sequence(g, seq):
         raise InvariantViolation("constructed sequence failed verification")

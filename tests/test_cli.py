@@ -7,7 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from grundytd import checks, engine, graph_from_graph6, hypergraph_from_text, path, graph_to_graph6
+from grundytd import (
+    checks,
+    cycle,
+    engine,
+    graph_from_graph6,
+    graph_to_graph6,
+    hypergraph_from_text,
+    path,
+    petersen,
+    star,
+)
 from grundytd.cli import main
 from grundytd.theorems import MAX_FAMILY_T_ORDER
 
@@ -317,6 +327,19 @@ def test_convert_g6_to_edges_and_back(tmp_path, capsys):
     code, out2, _ = run(capsys, "convert", str(f2), "--format", "edges", "--to", "g6")
     assert code == 0
     assert out2.strip() == graph_to_graph6(path(5))
+
+
+def test_convert_several_graphs_to_edges_and_back(tmp_path, capsys):
+    text = "".join(graph_to_graph6(g) + "\n" for g in (path(3), cycle(7), star(4), petersen()))
+    f = tmp_path / "g.g6"
+    f.write_text(text)
+    code, out, _ = run(capsys, "convert", str(f), "--format", "g6", "--to", "edges")
+    assert code == 0
+    f2 = tmp_path / "g.txt"
+    f2.write_text(out)
+    code, out2, err = run(capsys, "convert", str(f2), "--format", "edges", "--to", "g6")
+    assert (code, err) == (0, "")
+    assert out2 == text
 
 
 def test_convert_hyper_identity(tmp_path, capsys):

@@ -20,6 +20,7 @@ from grundytd import (
     hypergraph_to_text,
     path,
 )
+from grundytd.formats import graphs_from_edge_list
 
 
 def graphs(max_n=12):
@@ -46,6 +47,29 @@ def test_edge_list_self_loop_rejected():
 def test_edge_list_header_mismatch_rejected():
     with pytest.raises(ParseError):
         graph_from_edge_list("2 2\n0 1")
+
+
+def test_edge_lists_back_to_back():
+    # a blank or comment line separates the graphs
+    text = "2 1\n0 1\n\n1 0\n# third\n3 2\n0 1\n1 2\n"
+    assert [g.adj for g in graphs_from_edge_list(text)] == [(2, 1), (0,), (2, 5, 2)]
+    with pytest.raises(ParseError, match="expected one graph, found 3"):
+        graph_from_edge_list(text)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("2 1\n0 1\n\n3 1\n0 5\n", 5),  # a bad edge in the second graph
+        ("2 1\n0 1\n\n3 2\n0 1\n", 4),  # too few edges: the header's line
+        ("2 1\n0 1\n1 0\n", 3),  # an edge line past the m-th, no blank line before it
+        ("1 0\n\n2 1\n0 1\n1 0\n", 5),  # the same in the second graph
+    ],
+)
+def test_edge_list_errors_name_the_line_in_the_file(text, line):
+    with pytest.raises(ParseError) as info:
+        graphs_from_edge_list(text)
+    assert info.value.line == line
 
 
 @pytest.mark.parametrize("text", ["300000 0", "99999999999 0"])

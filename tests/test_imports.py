@@ -6,6 +6,7 @@ short command's time.  The footprint checks run in a fresh interpreter,
 since this test process has imported every module already.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -58,7 +59,7 @@ def test_compute_loads_no_checker_theorem_or_hypergraph():
 
 
 def test_every_export_is_its_submodules_object():
-    assert len(grundytd.__all__) == 89  # the package's public names
+    assert len(grundytd.__all__) == 87  # the package's public names
     for name in grundytd.__all__:
         module = importlib.import_module(f"grundytd.{grundytd._MODULE_OF[name]}")
         assert getattr(grundytd, name) is getattr(module, name), name
@@ -75,3 +76,24 @@ def test_star_import_binds_every_export():
     exec("from grundytd import *", namespace)
     assert set(grundytd.__all__) <= set(namespace)
     assert namespace["path"] is grundytd.path
+
+
+def test_every_import_in_the_package_is_used():
+    # pyflakes' F401 for src/grundytd, since no linter runs on this project:
+    # a name kept only for others to rebind carries "# noqa: F401" on its line
+    unused = []
+    for path in sorted((SRC / "grundytd").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno} {name}")
+    assert unused == []
