@@ -45,8 +45,10 @@ ceil(r / widest) moves remain.  The longest-sequence search stops expanding a
 state once a child reaches r, and its memo values stay exact.  The game
 search is a fail-soft alpha-beta over one table of bounds (lo, hi) per mover,
 seeded with those static bounds; its full-window root search is exact, and
-the principal line is rebuilt with null-window probes.  Both witnesses are
-still the smallest index that keeps the optimum at every step.
+the principal line is rebuilt with null-window probes.  A child whose stored
+or static bounds decide it against its window is read in the parent's move
+loop, with no call; only the children left open are expanded.  Both
+witnesses are still the smallest index that keeps the optimum at every step.
 
 The matching search adds edges in a fixed order and carries a mask of
 blocked vertices that no valid extension can use.  After an edge uv, a
@@ -259,11 +261,9 @@ def game_cover_value(masks, universe):
     def search(covered: int, minimizer: bool, alpha: int, beta: int) -> int:
         """Fail-soft alpha-beta: a result <= alpha bounds the value from
         above, a result >= beta from below, and one in between is exact."""
-        table = bounds_min if minimizer else bounds_max
-        uncovered = universe & ~covered
-        entry = table.get(covered)
+        entry = (bounds_min if minimizer else bounds_max).get(covered)
         if entry is None:
-            rem = uncovered.bit_count()
+            rem = (universe & ~covered).bit_count()
             lo, hi = -(-rem // widest), rem
         else:
             lo, hi = entry >> shift, entry & low
@@ -273,30 +273,65 @@ def game_cover_value(masks, universe):
             return hi
         a = alpha if alpha > lo else lo
         b = beta if beta < hi else hi
+        return expand(covered, minimizer, a, b, lo, hi)
+
+    def expand(covered: int, minimizer: bool, a: int, b: int, lo: int, hi: int) -> int:
+        """search() on a state whose bounds lo <= a < b <= hi leave it open.
+        Each child is first tested as search() would test it, against its
+        own bounds and window; only a child that stays open is called."""
+        uncovered = universe & ~covered
         if minimizer:
             best = top
-            cut = b
+            ca, cb = a - 1, b - 1  # each child's window; cb falls as replies improve
             for m in masks:
                 if m & uncovered:
-                    r = 1 + search(covered | m, False, a - 1, cut - 1)
+                    child = covered | m
+                    entry = bounds_max.get(child)
+                    if entry is None:
+                        rem = (uncovered & ~m).bit_count()
+                        clo, chi = -(-rem // widest), rem
+                    else:
+                        clo, chi = entry >> shift, entry & low
+                    if clo == chi or clo >= cb:
+                        r = 1 + clo
+                    elif chi <= ca:
+                        r = 1 + chi
+                    else:
+                        r = 1 + expand(child, False, ca if ca > clo else clo,
+                                       cb if cb < chi else chi, clo, chi)
                     if r < best:
                         best = r
                         if r <= a:
                             break
-                        if r < cut:
-                            cut = r
+                        if r <= cb:
+                            cb = r - 1
+            table = bounds_min
         else:
             best = 0
-            cut = a
+            ca, cb = a - 1, b - 1  # ca rises as replies improve
             for m in masks:
                 if m & uncovered:
-                    r = 1 + search(covered | m, True, cut - 1, b - 1)
+                    child = covered | m
+                    entry = bounds_min.get(child)
+                    if entry is None:
+                        rem = (uncovered & ~m).bit_count()
+                        clo, chi = -(-rem // widest), rem
+                    else:
+                        clo, chi = entry >> shift, entry & low
+                    if clo == chi or clo >= cb:
+                        r = 1 + clo
+                    elif chi <= ca:
+                        r = 1 + chi
+                    else:
+                        r = 1 + expand(child, True, ca if ca > clo else clo,
+                                       cb if cb < chi else chi, clo, chi)
                     if r > best:
                         best = r
                         if r >= b:
                             break
-                        if r > cut:
-                            cut = r
+                        if r > ca + 1:
+                            ca = r - 1
+            table = bounds_max
         if best <= a:
             table[covered] = lo << shift | best
         elif best >= b:
@@ -334,7 +369,7 @@ def game_cover_value(masks, universe):
             else:
                 raise InvariantViolation("principal line reconstruction failed")
     finally:
-        search = None  # the closure refers to itself; free the tables now
+        search = expand = None  # expand refers to itself; free the tables now
     return total, trace
 
 

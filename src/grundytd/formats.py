@@ -29,20 +29,13 @@ def graph_to_graph6(g: Graph) -> str:
         out = [chr(126), chr((n >> 12) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
     else:
         raise ParameterError(f"graph6 encoding supported up to n = {MAX_ORDER}")
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | ((g.adj[i] >> j) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(acc + 63))
-    return "".join(out)
+    # bit k of the body, the high bit first in each character, is the pair
+    # (i, j) with k = j(j-1)/2 + i; only the edges' bits are set
+    body = bytearray(b"?" * ((n * (n - 1) // 2 + 5) // 6))
+    for i, j in g.edges():
+        k = j * (j - 1) // 2 + i
+        body[k // 6] += 32 >> k % 6
+    return "".join(out) + body.decode()
 
 
 def graph_from_graph6(text: str, line: int | None = None) -> Graph:

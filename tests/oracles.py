@@ -9,7 +9,8 @@ to sweep.
 from itertools import combinations, permutations
 
 from grundytd.engine import _check_coverable
-from grundytd.graph import Graph, bits
+from grundytd.errors import ParameterError
+from grundytd.graph import MAX_ORDER, Graph, bits
 from grundytd.smallgraphs import canonical_form
 from grundytd.theorems import FamilyTCertificate
 
@@ -701,6 +702,32 @@ def game_cover_value_unpruned(masks, universe):
         else:
             raise RuntimeError("principal line reconstruction failed")
     return total, trace
+
+
+def graph_to_graph6_bitwise(g):
+    """The graph6 encoder before it set only the edges' bits: every pair of
+    the upper triangle in column order, one bit at a time."""
+    n = g.n
+    if n <= 62:
+        out = [chr(n + 63)]
+    elif n <= MAX_ORDER:
+        out = [chr(126), chr((n >> 12) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
+    else:
+        raise ParameterError(f"graph6 encoding supported up to n = {MAX_ORDER}")
+    acc = 0
+    nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = (acc << 1) | ((g.adj[i] >> j) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(acc + 63))
+                acc = 0
+                nbits = 0
+    if nbits:
+        acc <<= 6 - nbits
+        out.append(chr(acc + 63))
+    return "".join(out)
 
 
 def complete_multipartite_parts(g):

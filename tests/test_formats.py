@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from grundytd import (
     Graph,
     Hypergraph,
     ParseError,
+    cycle,
     graph_from_edge_list,
     graph_from_graph6,
     graph_to_edge_list,
@@ -108,6 +110,14 @@ def test_graph6_known_encodings():
     assert graph_to_graph6(path(2)) == "A_"
     assert graph_from_graph6("A_").adj == (2, 1)
     assert graph_from_graph6("D?{").n == 5
+
+
+def test_graph6_encoder_matches_the_bitwise_encoder(connected_upto_7):
+    # the header switches to four characters above order 62, and the last
+    # character is padded unless 6 divides n(n-1)/2
+    large = [path(62), path(64), path(2000), cycle(63)]
+    for g in [Graph(1, (0,))] + connected_upto_7 + large:
+        assert graph_to_graph6(g) == oracles.graph_to_graph6_bitwise(g), g.adj[:8]
 
 
 def test_graph6_optional_header_prefix():

@@ -10,7 +10,7 @@ from operator import or_
 import pytest
 
 import oracles
-from grundytd import bipartition, cycle, engine
+from grundytd import bipartition, cycle, engine, path
 from grundytd.sequences import check_cover_sequence
 from conftest import corpus
 
@@ -57,6 +57,18 @@ def test_pruned_kernels_match_unpruned_on_random_families():
             continue  # the kernels reject a family that does not cover
         compare(masks, universe)
         compared += 1
+
+
+def test_game_on_structured_families_matches_unpruned():
+    # the random families have at most 11 bits; paths and cycles of order up
+    # to 12 play longer games, whose narrow windows leave children open to be
+    # expanded from their parent's loop
+    graphs = [g for n in range(2, 7) for g in corpus(n)]
+    graphs += [path(n) for n in range(2, 13)] + [cycle(n) for n in range(3, 13)]
+    for g in graphs:
+        masks, universe = g.open_masks(), g.full_mask
+        want = oracles.game_cover_value_unpruned(masks, universe)
+        assert engine.game_cover_value(masks, universe) == want, g
 
 
 def test_longest_sequence_on_bipartite_open_masks_matches_unpruned():

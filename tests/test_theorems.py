@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from grundytd import (
     find_pair_labeling,
     gm_graph,
     graph_canonical_form,
+    grundy_domination_number,
     grundy_total_domination_number,
     is_complete_multipartite,
     is_in_family_t,
@@ -40,6 +42,7 @@ from grundytd import (
     regular_lower_bound,
     replay_family_t_certificate,
     star,
+    subset_bipartite,
     complete,
     tree_bound_report,
     tree_from_edges,
@@ -49,6 +52,7 @@ from grundytd import (
 )
 from grundytd import smallgraphs, theorems
 from grundytd.checks import SUITES, run_checks
+from grundytd.sequences import check_cover_sequence
 from grundytd.smallgraphs import canonical_form
 from grundytd.theorems import _free_trees, regular_bound_applies, tree_bound_applies
 
@@ -542,3 +546,18 @@ def test_balanced_bipartite_equality_case():
     rep = bound_report(g, compute_report(g))
     assert rep.violations == ()
     assert grundy_total_domination_number(g)[0] == 2
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_grundy_domination_exceeds_its_total_version_arbitrarily(k):
+    # the abstract: gamma_gr^t can be arbitrarily smaller than gamma_gr.  On
+    # the (2k-1)-set against its k-subsets, gamma_gr^t = 2k, while the
+    # k-subsets in any order are a complete closed sequence, so gamma_gr is
+    # at least C(2k-1, k)
+    g = subset_bipartite(k)
+    assert grundy_total_domination_number(g, cap=g.n)[0] == 2 * k
+    subsets = range(2 * k - 1, g.n)
+    assert check_cover_sequence(g.closed_masks(), g.full_mask, subsets).complete
+    assert len(subsets) == math.comb(2 * k - 1, k) == [10, 35, 126, 462][k - 3]
+    if k == 3:
+        assert grundy_domination_number(g, cap=g.n)[0] == 10
