@@ -4,9 +4,15 @@ Subcommands:
 
   compute   invariants of one or more graphs (or a hypergraph)
   verify    run a named checker against an input or its default corpus
-  generate  emit members of built-in families or enumerations
-  sweep     run a checker suite over an enumeration source
+  generate  write the graphs of a corpus source or a built-in family
+  sweep     run a checker suite over a corpus source
   convert   translate between serialization formats
+
+generate, sweep and verify's default corpora read one table of corpus
+sources: connected:N, cubic:N, regular:N:K, trees:N:COUNT, random:N:COUNT:P,
+hyper:COUNT, g6:PATH, family:SPEC and familyT:N[,N...].  Each yields one
+instance at a time.  connected:N, cubic:N and regular:N:K are exactly order
+N in generate, and every order up to N in sweep and the defaults.
 
 Exit codes: 0 pass, 1 violation found, 2 usage or input problem,
 3 capacity exceeded.  --cap raises the solver cap (24 by default), which
@@ -17,7 +23,9 @@ sequences, its edge count.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import random
 import sys
 from typing import TYPE_CHECKING
@@ -35,6 +43,7 @@ from .graph import Graph, build_family
 from .smallgraphs import (
     connected_cubic_graphs,
     connected_graphs,
+    connected_regular_graphs,
     random_connected_graph,
     random_hypergraph,
     random_tree,
@@ -44,7 +53,6 @@ from .smallgraphs import (
 # that run them, so start-up loads only what the command needs.
 if TYPE_CHECKING:
     from .checks import CheckResult
-    from .hypergraph import Hypergraph
 
 
 def _read_text(path: str) -> str:
@@ -56,12 +64,8 @@ def _read_text(path: str) -> str:
 
 def _graphs_from_text(text: str, fmt: str) -> list[Graph]:
     if fmt == "g6":
-        out = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if line:
-                out.append(graph_from_graph6(line, lineno))
-        return out
+        lines = enumerate(text.splitlines(), start=1)
+        return [graph_from_graph6(line.strip(), i) for i, line in lines if line.strip()]
     if fmt == "edges":
         return graphs_from_edge_list(text)
     raise GrundyTDError(f"unsupported graph format {fmt!r}")
@@ -75,47 +79,98 @@ def _load_graphs(args) -> list[Graph] | None:
     return None
 
 
-def _load_hypergraph(args) -> Hypergraph | None:
-    if getattr(args, "hypergraph", None):
-        return hypergraph_from_text(_read_text(args.hypergraph))
-    return None
+# -- corpus sources -----------------------------------------------------------------
 
 
-# -- default corpora for verify ------------------------------------------------
+def _source_number(source: str, text: str, least, most=math.inf, kind=int):
+    try:
+        value = kind(text)
+    except ValueError:
+        raise GrundyTDError(f"bad source {source!r}: {text!r} is not a number") from None
+    if value < least:
+        raise GrundyTDError(f"bad source {source!r}: {text} is below {least}")
+    if not value <= most:  # not value > most, so that nan is refused too
+        raise GrundyTDError(f"bad source {source!r}: {text} is not at most {most}")
+    return value
 
 
-def _default_graphs() -> list[Graph]:
-    out = []
-    for n in range(2, 7):
-        out.extend(connected_graphs(n))
-    return out
+def _orders(build, first: int, step: int = 1):
+    """The parse of an enumeration: build(N) for the order N, or with upto every
+    order from first up to N.  The top order is built first, so that one above
+    the limit fails at once."""
+
+    def parse(source, rest, rng, upto):
+        n = _source_number(source, rest, 0)
+        top = build(n)
+        return (g for k in range(first, n + 1, step) for g in build(k)) if upto else top
+
+    return parse
 
 
-def _default_trees(seed: int) -> list[Graph]:
+def _regular(source, rest, rng, upto):
+    n_text, _, k_text = rest.partition(":")
+    k = _source_number(source, k_text, 0)
+    return _orders(lambda n: connected_regular_graphs(n, k), k + 1)(source, n_text, rng, upto)
+
+
+def _random_trees(source, rest, rng, upto):
+    n_text, _, count_text = rest.partition(":")
+    n = _source_number(source, n_text, 1)
+    count = _source_number(source, count_text or "100", 0)
+    return (random_tree(n, rng) for _ in range(count))
+
+
+def _random_graphs(source, rest, rng, upto):
+    parts = rest.split(":")
+    if len(parts) != 3:
+        raise GrundyTDError("random source is random:N:COUNT:EDGE_PROB")
+    n = _source_number(source, parts[0], 1)
+    count = _source_number(source, parts[1], 0)
+    p = _source_number(source, parts[2], 0, 1, float)
+    return (random_connected_graph(n, p, rng) for _ in range(count))
+
+
+def _random_hypergraphs(source, rest, rng, upto):
+    count = _source_number(source, rest or "100", 0)
+    return (random_hypergraph(rng) for _ in range(count))
+
+
+def _family_t(source, rest, rng, upto):
     from .theorems import family_t_members
 
-    out = []
-    for n in (2, 5, 8, 11):
-        out.extend(t for t, _ in family_t_members(n))
-    rng = random.Random(seed)
-    for n in (8, 10, 12):
-        out.extend(random_tree(n, rng) for _ in range(30))
-    return out
+    members = [family_t_members(_source_number(source, n, 0)) for n in rest.split(",")]
+    return (t for pairs in members for t, _ in pairs)
 
 
-def _default_regular() -> list[Graph]:
-    out = []
-    for n in (4, 6, 8):
-        out.extend(connected_cubic_graphs(n))
-    out.append(build_family("petersen"))
-    out.append(build_family("gm:4"))
-    out.append(build_family("gm:3:2"))
-    return out
+# Every corpus that generate, sweep and verify's defaults read: spelling head ->
+# (kind, parse).  parse(source, rest, rng, upto) checks the text after the head
+# and the order limit, then returns a lazy iterable of instances.  With upto
+# (sweep and the defaults), connected:N, cubic:N and regular:N:K give every
+# order up to N; without it (generate), exactly order N.  The enumerators are
+# looked up at each call, never held here, so that they can be rebound.
+_SOURCES = {
+    "connected": ("graphs", _orders(lambda n: connected_graphs(n), 2)),
+    "cubic": ("graphs", _orders(lambda n: connected_cubic_graphs(n), 4, 2)),
+    "regular": ("graphs", _regular),
+    "trees": ("graphs", _random_trees),
+    "random": ("graphs", _random_graphs),
+    "familyT": ("graphs", _family_t),
+    "family": ("graphs", lambda s, rest, rng, upto: [build_family(rest)]),
+    "g6": ("graphs", lambda s, rest, rng, upto: _graphs_from_text(_read_text(rest), "g6")),
+    "hyper": ("hypergraphs", _random_hypergraphs),
+}
 
 
-def _default_hypergraphs(seed: int) -> list[Hypergraph]:
-    rng = random.Random(seed)
-    return [random_hypergraph(rng) for _ in range(60)]
+def _source(source: str, rng: random.Random, upto: bool):
+    """(kind, instances) for a source spelling; random sources draw from rng."""
+    head, _, rest = source.partition(":")
+    if head not in _SOURCES:
+        raise GrundyTDError(
+            f"unknown sweep source {source!r}; use connected:N, cubic:N, regular:N:K, "
+            "trees:N:COUNT, random:N:COUNT:P, hyper:COUNT, g6:PATH, family:SPEC, or familyT:N"
+        )
+    kind, parse = _SOURCES[head]
+    return kind, parse(source, rest, rng, upto)
 
 
 # -- compute -------------------------------------------------------------------
@@ -151,9 +206,9 @@ def _print_report(g: Graph, rep, index: int, total: int) -> None:
 def cmd_compute(args) -> int:
     graphs = _load_graphs(args)
     if graphs is None:
-        h = _load_hypergraph(args)
-        if h is None:
+        if not args.hypergraph:
             raise GrundyTDError("compute needs --family, --graph, or --hypergraph")
+        h = hypergraph_from_text(_read_text(args.hypergraph))
         from . import checks
 
         rep = checks.hypergraph_report(h, cap=args.cap)
@@ -185,37 +240,44 @@ def cmd_compute(args) -> int:
 # -- verify ---------------------------------------------------------------------
 
 
-def _items_for_kind(kind: str, args):
-    if kind == "hypergraphs":
-        h = _load_hypergraph(args)
-        if h is not None:
-            return [h]
-        return _default_hypergraphs(args.seed)
+# verify's default corpora, one tuple of sources per checker kind, drawn with
+# one random.Random(--seed) shared across the tuple
+_DEFAULT_SOURCES = {
+    "graphs": ("connected:6",),
+    "trees": ("familyT:2,5,8,11", "trees:8:30", "trees:10:30", "trees:12:30"),
+    "regular": ("cubic:8", "family:petersen", "family:gm:4", "family:gm:3:2"),
+    "hypergraphs": ("hyper:60",),
+}
+
+
+def _verify_items(kind: str, args):
+    """(items, item kind): the given input, with its own kind, else the
+    default corpus of the checker's kind."""
     graphs = _load_graphs(args)
     if graphs is not None:
-        return graphs
-    if kind == "trees":
-        return _default_trees(args.seed)
-    if kind == "regular":
-        return _default_regular()
-    return _default_graphs()
+        return graphs, "graphs"
+    if args.hypergraph:
+        return [hypergraph_from_text(_read_text(args.hypergraph))], "hypergraphs"
+    rng = random.Random(args.seed)
+    sources = (_source(spec, rng, upto=True)[1] for spec in _DEFAULT_SOURCES[kind])
+    return itertools.chain.from_iterable(sources), kind
 
 
-def _emit_check(res: CheckResult, as_json: bool) -> None:
+def _check_record(res: CheckResult) -> dict:
+    return {
+        "check": res.name,
+        "passed": res.passed,
+        "tested": res.tested,
+        "counterexamples": list(res.counterexamples),
+    }
+
+
+def _emit_check(res: CheckResult, as_json: bool, notes: bool = True) -> None:
     if as_json:
-        json.dump(
-            {
-                "check": res.name,
-                "passed": res.passed,
-                "tested": res.tested,
-                "counterexamples": list(res.counterexamples),
-                "notes": list(res.notes),
-            },
-            sys.stdout,
-        )
+        json.dump({**_check_record(res), "notes": list(res.notes)}, sys.stdout)
         print()
         return
-    for note in res.notes[:20]:
+    for note in res.notes[:20] if notes else ():
         print(f"  {note}")
     verdict = "PASS" if res.passed else "FAIL"
     print(f"{res.name}: {verdict} (tested {res.tested})")
@@ -232,7 +294,7 @@ def cmd_verify(args) -> int:
             f"unknown check {token!r}; available: " + ", ".join(sorted(checks.TOKENS))
         )
     d = checks.REGISTRY[checks.TOKENS[token]]
-    [res] = checks.run_checks([d.name], _items_for_kind(d.kind, args), d.kind, args.cap)
+    [res] = checks.run_checks([d.name], *_verify_items(d.kind, args), args.cap)
     _emit_check(res, args.json)
     return 0 if res.passed else 1
 
@@ -240,14 +302,21 @@ def cmd_verify(args) -> int:
 # -- generate ---------------------------------------------------------------------
 
 
-def _emit_graphs(graphs, fmt: str, as_json: bool = False, certificates=None) -> None:
+def _emit_graphs(graphs, fmt: str, as_json: bool = False, certify: bool = False) -> None:
+    """Write graphs as they come; --json collects its records first, with each
+    family T member's certificate when certify is set."""
     if as_json:
-        records = [{"n": g.n, "edges": [list(e) for e in g.edges()]} for g in graphs]
-        for rec, cert in zip(records, certificates or ()):
-            rec["certificate"] = {
-                "base": list(cert.base),
-                "steps": [[v, list(path)] for v, path in cert.steps],
-            }
+        if certify:
+            from .theorems import is_in_family_t
+        records = []
+        for g in graphs:
+            records.append({"n": g.n, "edges": [list(e) for e in g.edges()]})
+            if certify:
+                cert = is_in_family_t(g)
+                records[-1]["certificate"] = {
+                    "base": list(cert.base),
+                    "steps": [[v, list(path)] for v, path in cert.steps],
+                }
         json.dump({"graphs": records}, sys.stdout, indent=2)
         print()
         return
@@ -262,93 +331,33 @@ def _emit_graphs(graphs, fmt: str, as_json: bool = False, certificates=None) -> 
 
 def cmd_generate(args) -> int:
     what = args.what
-    limit = args.limit
-    fmt = args.format or "g6"
     if what == "familyT":
         if args.n is None:
             raise GrundyTDError("generate familyT needs --n")
-        from .theorems import family_t_members
-
-        members = family_t_members(args.n)
-        if not members:
-            print(
-                f"no members of order {args.n}: orders are 2 mod 3 (2, 5, 8, ...)",
-                file=sys.stderr,
-            )
-            return 0
-        if limit is not None:
-            members = members[:limit]
-        _emit_graphs([t for t, _ in members], fmt, args.json, [c for _, c in members])
+        what = f"familyT:{args.n}"
+    if args.limit is not None and args.limit < 0:
+        raise GrundyTDError(f"--limit {args.limit} is below 0")
+    if what.partition(":")[0] not in _SOURCES:
+        _emit_graphs([build_family(what)], args.format or "g6", args.json)
         return 0
-    if what.startswith("connected:") or what.startswith("cubic:"):
-        kind, _, rest = what.partition(":")
-        n = _source_number(what, rest, 0)
-        graphs = connected_graphs(n) if kind == "connected" else connected_cubic_graphs(n)
-        if limit is not None:
-            graphs = graphs[:limit]
-        _emit_graphs(graphs, fmt, args.json)
+    kind, graphs = _source(what, random.Random(0), upto=False)
+    if kind != "graphs":
+        raise GrundyTDError(f"generate writes graphs, but {what!r} gives {kind}")
+    if args.what == "familyT" and args.n % 3 != 2:
+        print(f"no members of order {args.n}: orders are 2 mod 3 (2, 5, 8, ...)", file=sys.stderr)
         return 0
-    _emit_graphs([build_family(what)], fmt, args.json)
+    graphs = itertools.islice(graphs, args.limit)
+    _emit_graphs(graphs, args.format or "g6", args.json, what.startswith("familyT:"))
     return 0
 
 
 # -- sweep -----------------------------------------------------------------------
 
 
-def _source_number(source: str, text: str, least: int, kind=int):
-    try:
-        value = kind(text)
-    except ValueError:
-        raise GrundyTDError(f"bad source {source!r}: {text!r} is not a number") from None
-    if value < least:
-        raise GrundyTDError(f"bad source {source!r}: {text} is below {least}")
-    return value
-
-
-def _sweep_items(source: str, seed: int):
-    """Returns (items, kind) where kind is 'graphs' or 'hypergraphs'."""
-    head, _, rest = source.partition(":")
-    rng = random.Random(seed)
-    # the top order is built first, so that one above the limit fails at once
-    if head == "connected":
-        n = _source_number(source, rest, 0)
-        connected_graphs(n)
-        return [g for k in range(2, n + 1) for g in connected_graphs(k)], "graphs"
-    if head == "cubic":
-        n = _source_number(source, rest, 0)
-        connected_cubic_graphs(n)
-        return [g for k in range(4, n + 1, 2) for g in connected_cubic_graphs(k)], "graphs"
-    if head == "trees":
-        n_str, _, count_str = rest.partition(":")
-        n = _source_number(source, n_str, 1)
-        count = _source_number(source, count_str or "100", 0)
-        return [random_tree(n, rng) for _ in range(count)], "graphs"
-    if head == "random":
-        parts = rest.split(":")
-        if len(parts) != 3:
-            raise GrundyTDError("random source is random:N:COUNT:EDGE_PROB")
-        n = _source_number(source, parts[0], 1)
-        count = _source_number(source, parts[1], 0)
-        p = _source_number(source, parts[2], 0, float)
-        return [random_connected_graph(n, p, rng) for _ in range(count)], "graphs"
-    if head == "hyper":
-        count = _source_number(source, rest or "100", 0)
-        return [random_hypergraph(rng) for _ in range(count)], "hypergraphs"
-    if head == "g6":
-        text = _read_text(rest)
-        return _graphs_from_text(text, "g6"), "graphs"
-    if head == "family":
-        return [build_family(rest)], "graphs"
-    raise GrundyTDError(
-        f"unknown sweep source {source!r}; use connected:N, cubic:N, trees:N:COUNT, "
-        "random:N:COUNT:P, hyper:COUNT, g6:PATH, or family:SPEC"
-    )
-
-
 def cmd_sweep(args) -> int:
     from . import checks
 
-    items, item_kind = _sweep_items(args.source, args.seed)
+    item_kind, items = _source(args.source, random.Random(args.seed), upto=True)
     if args.checks:
         names = []
         for token in args.checks.split(","):
@@ -357,42 +366,27 @@ def cmd_sweep(args) -> int:
                 raise GrundyTDError(f"unknown check {token!r}")
             names.append(checks.TOKENS[token])
     else:
-        suite = args.suite
-        if suite is None:
-            suite = "hypergraphs" if item_kind == "hypergraphs" else "graphs"
+        suite = args.suite or item_kind
         if suite not in checks.SUITES:
             raise GrundyTDError(
                 f"unknown suite {suite!r}; available: " + ", ".join(checks.SUITES)
             )
         names = list(checks.SUITES[suite])
+    # zip draws an item before its count, so the count ends at the items consumed
+    consumed = itertools.count()
+    items = (item for item, _ in zip(items, consumed))
     results = checks.run_checks(names, items, item_kind, args.cap)
+    passed = all(r.passed for r in results)
     if args.json:
-        json.dump(
-            {
-                "source": args.source,
-                "passed": all(r.passed for r in results),
-                "results": [
-                    {
-                        "check": r.name,
-                        "passed": r.passed,
-                        "tested": r.tested,
-                        "counterexamples": list(r.counterexamples),
-                    }
-                    for r in results
-                ],
-            },
-            sys.stdout,
-            indent=2,
-        )
+        records = [_check_record(r) for r in results]
+        doc = {"source": args.source, "passed": passed, "results": records}
+        json.dump(doc, sys.stdout, indent=2)
         print()
     else:
-        print(f"source {args.source}: {len(items)} instances")
+        print(f"source {args.source}: {next(consumed)} instances")
         for r in results:
-            _emit_check(
-                checks.CheckResult(r.name, r.passed, r.tested, r.counterexamples),
-                False,
-            )
-    return 0 if all(r.passed for r in results) else 1
+            _emit_check(r, False, notes=False)
+    return 0 if passed else 1
 
 
 # -- convert ----------------------------------------------------------------------
@@ -448,14 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("generate", help="emit family members")
+    p = sub.add_parser("generate", help="write the graphs of a source or a family")
     p.add_argument(
         "what",
-        help="family spec (path:7, gm:4, ...), familyT (with --n), "
-        "connected:N, or cubic:N",
+        help="a graph source of sweep (connected:N, cubic:N and regular:N:K of order "
+        "exactly N; random ones draw with seed 0), familyT (with --n), or a family "
+        "spec (path:7, gm:4, ...)",
     )
     p.add_argument("--n", type=int, help="order for familyT")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=int, help="write at most this many graphs")
     p.add_argument("--format", choices=("g6", "edges"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_generate)
@@ -463,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a checker suite over a source")
     p.add_argument(
         "source",
-        help="connected:N, cubic:N, trees:N:COUNT, random:N:COUNT:P, "
-        "hyper:COUNT, g6:PATH, family:SPEC",
+        help="connected:N, cubic:N or regular:N:K (every order up to N), trees:N:COUNT, "
+        "random:N:COUNT:P, hyper:COUNT, g6:PATH, family:SPEC, or familyT:N[,N...]",
     )
     p.add_argument(
         "--suite",
@@ -496,10 +491,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
-    except GrundyTDError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GrundyTDError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,6 +33,7 @@ statements.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -334,8 +335,9 @@ def _free_trees(m: int):
 
 
 # The largest order family_t_members is allowed to build: `generate familyT
-# --n 50` (48,629 members) takes 15 s and peaks at 221 MB, order 47 (19,320)
-# 5.2 s and 93 MB; the next order, 53, would be about three times both.
+# --n 50` (48,629 members) takes 14 s and order 47 (19,320) 5 s; the next
+# order, 53, would take about three times as long.  Members stream, so the
+# peak stays near 17 MB at either order.
 MAX_FAMILY_T_ORDER = 50
 
 
@@ -349,23 +351,25 @@ def _family_t_certificate(n: int, parents, hs, leaves, subs) -> FamilyTCertifica
     return FamilyTCertificate(n, (hs[0], leaves[0]), steps)
 
 
-def family_t_members(n: int) -> list[tuple[Graph, FamilyTCertificate]]:
-    """S(H o K_1) for each tree H on (n + 1)/3 vertices: one family member
-    per isomorphism class.  H-vertex j in preorder gets id 3j, its leaf
-    3j + 1 and the vertex on the edge to its parent 3j - 1.  Orders above
-    MAX_FAMILY_T_ORDER raise CapacityError."""
+def family_t_members(n: int) -> Iterator[tuple[Graph, FamilyTCertificate]]:
+    """S(H o K_1) for each tree H on (n + 1)/3 vertices, with its
+    certificate: one family member per isomorphism class, built as the
+    iterator is consumed.  H-vertex j in preorder gets id 3j, its leaf
+    3j + 1 and the vertex on the edge to its parent 3j - 1, so
+    is_in_family_t gives each member back its own certificate.  Orders
+    above MAX_FAMILY_T_ORDER raise CapacityError at the call."""
     if n > MAX_FAMILY_T_ORDER:
         raise CapacityError(
             f"enumerating family T graphs of order {n} is beyond the limit "
             f"{MAX_FAMILY_T_ORDER}"
         )
     if n < 2 or n % 3 != 2:
-        return []
-    out = []
-    for ps in _free_trees((n + 1) // 3):
-        cert = _family_t_certificate(n, ps, range(0, n, 3), range(1, n, 3), range(-1, n, 3))
-        out.append((replay_family_t_certificate(cert), cert))
-    return out
+        return iter(())
+    certs = (
+        _family_t_certificate(n, ps, range(0, n, 3), range(1, n, 3), range(-1, n, 3))
+        for ps in _free_trees((n + 1) // 3)
+    )
+    return ((replay_family_t_certificate(cert), cert) for cert in certs)
 
 
 def is_in_family_t(t: Graph) -> FamilyTCertificate | None:
@@ -377,8 +381,8 @@ def is_in_family_t(t: Graph) -> FamilyTCertificate | None:
     and m - 1 other vertices, each of degree 2 or more, and only n - 1 =
     m + 2(m - 1) edges: so those vertices have degree 2 and no two supports
     are adjacent.  H, the supports joined through the degree-2 vertices, is
-    a tree, and a BFS over H from its lowest vertex builds the certificate.
-    Order 2 is the base P2.
+    a tree, and a preorder walk over H from its lowest vertex, lowest
+    neighbour first, builds the certificate.  Order 2 is the base P2.
     """
     _require_tree(t)
     n = t.n
@@ -394,14 +398,16 @@ def is_in_family_t(t: Graph) -> FamilyTCertificate | None:
         or any(t.adj[v] & ~supports for v in bits(t.full_mask & ~leaves & ~supports))
     ):
         return None
-    hs, parents, subs = [(supports & -supports).bit_length() - 1], [-1], [-1]
-    done = 0
-    for j, h in enumerate(hs):
-        for s in bits(t.adj[h] & ~leaves & ~done):
+    hs, parents, subs = [], [], []
+    stack, done = [((supports & -supports).bit_length() - 1, -1, -1)], 0
+    while stack:
+        h, parent, sub = stack.pop()
+        hs.append(h)
+        parents.append(parent)
+        subs.append(sub)
+        for s in reversed(list(bits(t.adj[h] & ~leaves & ~done))):
             done |= 1 << s
-            hs.append((t.adj[s] & ~(1 << h)).bit_length() - 1)
-            parents.append(j)
-            subs.append(s)
+            stack.append(((t.adj[s] & ~(1 << h)).bit_length() - 1, len(hs) - 1, s))
     cert = _family_t_certificate(
         n, parents, hs, [(t.adj[h] & leaves).bit_length() - 1 for h in hs], subs
     )

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from grundytd import (
     hypergraph_from_text,
     path,
     petersen,
+    random_tree,
     star,
 )
 from grundytd.cli import main
@@ -145,6 +147,20 @@ def test_verify_hypergraph_token_prints_both_sides(tmp_path, capsys):
     assert "rho_gr=2" in out and "gamma_grt(incidence)=4" in out
 
 
+@pytest.mark.parametrize(
+    "check, flag, value",
+    [("thm8.3", "--family", "path:4"), ("order-labeling", "--hypergraph", None)],
+)
+def test_verify_input_of_the_wrong_kind_is_usage_error(tmp_path, capsys, check, flag, value):
+    # the given input is checked with its own kind, never swapped for a default corpus
+    if value is None:
+        value = tmp_path / "h.txt"
+        value.write_text("2 3\n0\n1\n0 1\n")
+    code, out, err = run(capsys, "verify", check, flag, str(value))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: check ") and "but the source provides" in err
+
+
 def test_verify_json_shape(capsys):
     code, out, _ = run(capsys, "verify", "thm4.2", "--family", "path:4", "--json")
     assert code == 0
@@ -189,6 +205,41 @@ def test_generate_connected_enumeration(capsys):
         assert graph_from_graph6(ln).n == 5
 
 
+def test_generate_writes_the_graphs_that_sweep_checks(capsys):
+    # random sources draw with seed 0, sweep's default --seed
+    rng = random.Random(0)
+    code, out, _ = run(capsys, "generate", "trees:9:4")
+    assert code == 0
+    assert out.split() == [graph_to_graph6(random_tree(9, rng)) for _ in range(4)]
+    code, out, _ = run(capsys, "sweep", "trees:9:4", "--checks", "bound-chain")
+    assert (code, out.splitlines()[0]) == (0, "source trees:9:4: 4 instances")
+
+
+def test_regular_source(capsys):
+    # 59 connected quartic graphs of order 10 (A006820); sweep reads every
+    # order up to 10, and the construction skips K5
+    code, out, _ = run(capsys, "generate", "regular:10:4")
+    assert code == 0
+    assert len(out.split()) == 59
+    assert all(graph_from_graph6(line).adj[0].bit_count() == 4 for line in out.split())
+    code, out, _ = run(capsys, "sweep", "regular:10:4", "--suite", "regular")
+    assert code == 0
+    assert out.splitlines() == [
+        "source regular:10:4: 85 instances",
+        "regular-construction: PASS (tested 84)",
+    ]
+
+
+def test_sweep_family_t_source(capsys):
+    code, out, _ = run(capsys, "sweep", "familyT:2,5,8,11,14", "--suite", "trees")
+    assert code == 0
+    assert out.splitlines() == [
+        "source familyT:2,5,8,11,14: 8 instances",
+        "tree-matching-order: PASS (tested 8)",
+        "tree-lower-bound: PASS (tested 8)",
+    ]
+
+
 def test_generate_builtin_family_edges_format(capsys):
     code, out, _ = run(capsys, "generate", "path:5", "--format", "edges")
     assert code == 0
@@ -226,7 +277,10 @@ def test_sweep_hyper_source_json(capsys):
 
 @pytest.mark.parametrize(
     "source",
-    ["connected:abc", "cubic:x", "trees:5:x", "random:5:3:x", "hyper:-3", "trees:5:-1"],
+    [
+        "connected:abc", "cubic:x", "trees:5:x", "random:5:3:x", "hyper:-3", "trees:5:-1",
+        "random:5:3:1.5", "random:5:3:nan", "random:5:3:-0.5", "regular:10:x", "familyT:-4",
+    ],
 )
 def test_malformed_sweep_source_is_usage_error(capsys, source):
     code, _, err = run(capsys, "sweep", source)
@@ -234,11 +288,24 @@ def test_malformed_sweep_source_is_usage_error(capsys, source):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("source", ["connected:-1", "cubic:-4", "cubic:x"])
-def test_malformed_generate_enumeration_is_usage_error(capsys, source):
-    code, out, err = run(capsys, "generate", source)
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(argv, message, id=argv)
+        for argv, message in [
+            ("connected:-1", "error: bad source"),
+            ("cubic:-4", "error: bad source"),
+            ("cubic:x", "error: bad source"),
+            ("familyT --n -4", "error: bad source 'familyT:-4': -4 is below 0"),
+            ("connected:5 --limit -1", "error: --limit -1 is below 0"),
+            ("hyper:5", "error: generate writes graphs"),
+        ]
+    ],
+)
+def test_malformed_generate_enumeration_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "generate", *argv.split())
     assert (code, out) == (2, "")
-    assert err.startswith("error: bad source")
+    assert err.startswith(message)
 
 
 @pytest.mark.parametrize(

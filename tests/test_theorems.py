@@ -204,8 +204,9 @@ def test_free_trees_are_preorder_parent_lists_counted_by_a000055():
 
 
 def test_family_member_counts():
-    assert [len(family_t_members(n)) for n in (2, 5, 8, 11)] == [1, 1, 1, 2]
-    assert [len(family_t_members(3 * m - 1)) for m in range(1, 13)] == list(TREE_COUNTS[:12])
+    assert [len(list(family_t_members(n))) for n in (2, 5, 8, 11)] == [1, 1, 1, 2]
+    counts = [len(list(family_t_members(3 * m - 1))) for m in range(1, 13)]
+    assert counts == list(TREE_COUNTS[:12])
 
 
 def test_family_members_need_no_canonical_form(monkeypatch):
@@ -218,7 +219,7 @@ def test_family_members_need_no_canonical_form(monkeypatch):
     monkeypatch.setattr(smallgraphs, "canonical_form", counted)
     monkeypatch.setattr(theorems, "canonical_form", counted)
     for n in range(2, 30):
-        family_t_members(n)
+        list(family_t_members(n))
     assert calls == []
 
 
@@ -230,8 +231,14 @@ def test_family_members_match_the_reference_generator():
         assert set(ours) == want
 
 
+def test_family_members_stream():
+    # the whole order-50 family takes seconds; its first member does not wait for it
+    tree, cert = next(family_t_members(theorems.MAX_FAMILY_T_ORDER))
+    assert tree.n == theorems.MAX_FAMILY_T_ORDER and replay_family_t_certificate(cert) == tree
+
+
 def test_family_empty_off_residue():
-    assert family_t_members(7) == []
+    assert list(family_t_members(7)) == []
     assert is_in_family_t(path(7)) is None
 
 
@@ -252,7 +259,8 @@ def test_certificates_replay_to_members():
     for n in range(2, 36, 3):
         for tree, cert in family_t_members(n):
             assert replay_family_t_certificate(cert) == tree
-            assert is_in_family_t(tree) is not None
+            # generate --json prints the recognizer's certificate as the member's own
+            assert is_in_family_t(tree) == cert
 
 
 @pytest.mark.parametrize(
@@ -386,7 +394,7 @@ def _sweep_every_tree(orders):
                 t for t in covered
                 if 3 * grundy_total_domination_number(t)[0] == 2 * (n + 1)
             ]
-            assert len(extremal) == len(family_t_members(n))
+            assert len(extremal) == len(list(family_t_members(n)))
 
 
 def test_every_tree_to_order_12_obeys_thm_5_1_and_5_4():
