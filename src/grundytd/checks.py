@@ -277,24 +277,18 @@ def check_regular_construction(g: Graph, rep=None, cap=None) -> CheckResult:
 
 # -- hypergraph checkers -----------------------------------------------------
 
-HYPERGRAPH_KEYS = ("rho", "rho_gr", "tau_gr")
+# the edge cover, covering and transversal numbers, their solvers looked up by
+# name at each call so that they can be rebound
+_HYPERGRAPH_INVARIANTS = {
+    "rho": lambda h, cap: edge_cover_number(h, cap),
+    "rho_gr": lambda h, cap: grundy_covering_number(h, cap),
+    "tau_gr": lambda h, cap: grundy_transversal_number(h, cap),
+}
 
 
-def hypergraph_report(h: Hypergraph, keys=HYPERGRAPH_KEYS, cap=None) -> InvariantReport:
-    """The requested covering invariants of h, each with its witness.
-
-    rho is the edge cover number, rho_gr the covering number and tau_gr
-    the transversal number.  The solvers are looked up by name at each call.
-    """
-    results = {}
-    for key in keys:
-        if key == "rho":
-            solve = edge_cover_number
-        elif key == "rho_gr":
-            solve = grundy_covering_number
-        else:
-            solve = grundy_transversal_number
-        results[key] = solver.timed_result(solve, h, cap)
+def hypergraph_report(h: Hypergraph, keys=_HYPERGRAPH_INVARIANTS, cap=None) -> InvariantReport:
+    """The requested covering invariants of h, each with its witness."""
+    results = {k: solver.timed_result(_HYPERGRAPH_INVARIANTS[k], h, cap) for k in keys}
     return InvariantReport(h.n_vertices, len(h.edges), results)
 
 
@@ -361,7 +355,7 @@ def run_checks(names, items, item_kind: str, cap=None) -> list[CheckResult]:
                 f"check {d.name!r} expects {d.kind} but the source provides {item_kind}"
             )
     on_hypergraphs = item_kind == "hypergraphs"
-    known = HYPERGRAPH_KEYS if on_hypergraphs else solver.INVARIANT_KEYS
+    known = _HYPERGRAPH_INVARIANTS if on_hypergraphs else solver.INVARIANT_KEYS
     keys = [k for k in known if any(k in d.keys for d in defs)]
     tallies = [_Collector(d.name) for d in defs]
     for item in items:

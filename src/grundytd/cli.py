@@ -30,7 +30,7 @@ import random
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import CapacityError, GrundyTDError, InvariantViolation
+from .errors import CapacityError, GrundyTDError, InvariantViolation, ParseError
 from .formats import (
     graph_from_graph6,
     graph_to_edge_list,
@@ -65,7 +65,10 @@ def _read_text(path: str) -> str:
 def _graphs_from_text(text: str, fmt: str) -> list[Graph]:
     if fmt == "g6":
         lines = enumerate(text.splitlines(), start=1)
-        return [graph_from_graph6(line.strip(), i) for i, line in lines if line.strip()]
+        graphs = [graph_from_graph6(line.strip(), i) for i, line in lines if line.strip()]
+        if not graphs:
+            raise ParseError("empty graph6 input")
+        return graphs
     if fmt == "edges":
         return graphs_from_edge_list(text)
     raise GrundyTDError(f"unsupported graph format {fmt!r}")
@@ -208,6 +211,8 @@ def cmd_compute(args) -> int:
     if graphs is None:
         if not args.hypergraph:
             raise GrundyTDError("compute needs --family, --graph, or --hypergraph")
+        if args.invariant:
+            raise GrundyTDError("--invariant applies to graphs, not to --hypergraph")
         h = hypergraph_from_text(_read_text(args.hypergraph))
         from . import checks
 
@@ -410,9 +415,10 @@ def cmd_convert(args) -> int:
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", help="inline family spec, e.g. path:7 or gm:4")
-    p.add_argument("--graph", help="graph file path, or - for stdin")
-    p.add_argument("--hypergraph", help="hypergraph file path, or - for stdin")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--family", help="inline family spec, e.g. path:7 or gm:4")
+    one.add_argument("--graph", help="graph file path, or - for stdin")
+    one.add_argument("--hypergraph", help="hypergraph file path, or - for stdin")
     p.add_argument(
         "--format", choices=("g6", "edges", "hyper"), help="input format (default g6)"
     )

@@ -7,7 +7,8 @@ covered (its footprints).  Open neighborhoods N(v) as the masks give total
 dominating sequences, closed neighborhoods N[v] dominating sequences;
 hyperedges give covering sequences, and the per-vertex incidence masks of a
 hypergraph give transversal sequences.  The same masks also decide set
-covers (total dominating sets, edge covers) and their minimality.
+covers (total dominating sets, edge covers) and their minimality.  Strong
+and semistrong matchings are checked on the adjacency masks directly.
 
 These are the certificate checkers for everything the solvers and
 constructions produce, so they deliberately share no code with the search
@@ -104,3 +105,13 @@ def is_dominating_sequence(g: Graph, seq) -> bool:
     """Legal closed-neighborhood sequence dominating every vertex."""
     return check_cover_sequence(g.closed_masks(), g.full_mask, seq).complete
 
+
+def is_strong_matching(g: Graph, pairs, semistrong: bool) -> bool:
+    """Disjoint edges of g whose ends (semistrong: one end) have no other matched neighbor."""
+    matched = 0
+    for u, v in pairs:
+        if not g.has_edge(u, v) or (matched >> u | matched >> v) & 1:
+            return False
+        matched |= (1 << u) | (1 << v)
+    alone = any if semistrong else all
+    return all(alone((g.adj[x] & matched).bit_count() == 1 for x in e) for e in pairs)

@@ -11,17 +11,24 @@ Seven invariants are exposed, all exact and all certified:
   nu_s       maximum strong (induced) matching
   nu_ss      maximum semistrong matching
 
-Every solver re-checks the certificate it is about to return with the
-independent checkers in the sequences module; a failure there is a bug, not
-bad input.  Instances above the size cap are rejected up front because the
-searches are exponential; the cap defaults to 24 vertices and can be raised
-per call with the cap argument.
+Each invariant is one row of _INVARIANTS, in report order: its CLI token,
+what is undefined on a graph with an isolated vertex (None for the
+matchings), its search kernel and its certificate check.  _solve runs the
+one protocol every row shares: reject isolated vertices, enforce the size
+cap (24 vertices by default, as the searches are exponential), run the
+kernel, and re-check the witness with the independent checkers of the
+sequences module, where a failure is a bug, not bad input.
+
+Rows hold lambdas, never the kernel or checker objects, so both are looked
+up at each call: tests replace engine kernels and a profiler may rebind the
+checkers imported here, and either must reach every solve.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from . import engine
 from .errors import CapacityError, DomainError, InvariantViolation, ParameterError
@@ -31,31 +38,11 @@ from .sequences import (
     is_cover,
     is_dominating_sequence,
     is_minimal_cover,
+    is_strong_matching,
     is_total_dominating_sequence,
 )
 
 DEFAULT_CAP = 24
-
-INVARIANT_KEYS = (
-    "gamma_t",
-    "Gamma_t",
-    "gamma_tg",
-    "gamma_grt",
-    "gamma_gr",
-    "nu_s",
-    "nu_ss",
-)
-
-# short CLI tokens for the same invariants
-TOKEN_TO_KEY = {
-    "gt": "gamma_t",
-    "Gt": "Gamma_t",
-    "gtg": "gamma_tg",
-    "grt": "gamma_grt",
-    "gr": "gamma_gr",
-    "nus": "nu_s",
-    "nuss": "nu_ss",
-}
 
 
 def ensure_capacity(size: int, cap: int | None = None, what: str = "order"):
@@ -73,18 +60,6 @@ def ensure_capacity(size: int, cap: int | None = None, what: str = "order"):
         )
 
 
-def _require_no_isolated(g: Graph, what: str):
-    if g.has_isolated_vertex():
-        isolated = [v for v in range(g.n) if g.adj[v] == 0]
-        raise DomainError(
-            f"{what} is undefined on graphs with isolated vertices "
-            f"(found {isolated})"
-        )
-
-
-# -- set-style certificates --------------------------------------------------
-
-
 def is_total_dominating_set(g: Graph, vertices) -> bool:
     """Every vertex has a neighbor among the given distinct vertices."""
     return is_cover(g.adj, g.full_mask, vertices)
@@ -95,109 +70,112 @@ def is_minimal_total_dominating_set(g: Graph, vertices) -> bool:
     return is_minimal_cover(g.adj, g.full_mask, vertices)
 
 
-# -- invariants ---------------------------------------------------------------
+# key -> (CLI token, what is undefined with an isolated vertex or None,
+#         kernel(g) -> (value, witness), certificate(g, witness) -> bool)
+_INVARIANTS = {
+    "gamma_t": (
+        "gt", "total domination",
+        lambda g: engine.min_cover(g.open_masks(), g.full_mask),
+        lambda g, w: is_total_dominating_set(g, w),
+    ),
+    "Gamma_t": (
+        "Gt", "total domination",
+        lambda g: engine.max_minimal_cover(g.open_masks(), g.full_mask),
+        lambda g, w: is_minimal_total_dominating_set(g, w),
+    ),
+    "gamma_tg": (
+        "gtg", "the total domination game",
+        lambda g: engine.game_cover_value(g.open_masks(), g.full_mask),
+        lambda g, w: is_total_dominating_sequence(g, w),
+    ),
+    "gamma_grt": (
+        "grt", "a total dominating sequence",
+        lambda g: engine.max_cover_sequence(g.open_masks(), g.full_mask),
+        lambda g, w: is_total_dominating_sequence(g, w),
+    ),
+    # isolated vertices dominate themselves, but are rejected for uniformity
+    "gamma_gr": (
+        "gr", "grundy_domination_number",
+        lambda g: engine.max_cover_sequence(g.closed_masks(), g.full_mask),
+        lambda g, w: is_dominating_sequence(g, w),
+    ),
+    "nu_s": (
+        "nus", None,
+        lambda g: engine.max_matching(g.open_masks(), g.n, False),
+        lambda g, w: is_strong_matching(g, w, False),
+    ),
+    "nu_ss": (
+        "nuss", None,
+        lambda g: engine.max_matching(g.open_masks(), g.n, True),
+        lambda g, w: is_strong_matching(g, w, True),
+    ),
+}
+
+INVARIANT_KEYS = tuple(_INVARIANTS)
+TOKEN_TO_KEY = {row[0]: key for key, row in _INVARIANTS.items()}
+
+
+def _admit(g: Graph, undefined: str | None, cap: int | None):
+    """The domain test and the size cap that precede every search."""
+    if undefined and g.has_isolated_vertex():
+        isolated = [v for v in range(g.n) if g.adj[v] == 0]
+        raise DomainError(
+            f"{undefined} is undefined on graphs with isolated vertices (found {isolated})"
+        )
+    ensure_capacity(g.n, cap)
+
+
+def _solve(key: str, g: Graph, cap: int | None = None):
+    """(value, witness tuple) of one row, its witness certified."""
+    _, undefined, kernel, certificate = _INVARIANTS[key]
+    _admit(g, undefined, cap)
+    value, witness = kernel(g)
+    certify(certificate(g, witness) and len(witness) == value, key)
+    return value, tuple(witness)
 
 
 def total_domination_number(g: Graph, cap: int | None = None):
     """(gamma_t, witness set as a sorted tuple)."""
-    _require_no_isolated(g, "total domination")
-    ensure_capacity(g.n, cap)
-    value, sel = engine.min_cover(g.open_masks(), g.full_mask)
-    certify(is_total_dominating_set(g, sel) and len(sel) == value, "gamma_t")
-    return value, tuple(sel)
+    return _solve("gamma_t", g, cap)
 
 
 def upper_total_domination_number(g: Graph, cap: int | None = None):
     """(Gamma_t, a largest minimal total dominating set, sorted)."""
-    _require_no_isolated(g, "total domination")
-    ensure_capacity(g.n, cap)
-    value, sel = engine.max_minimal_cover(g.open_masks(), g.full_mask)
-    certify(
-        is_minimal_total_dominating_set(g, sel) and len(sel) == value, "Gamma_t"
-    )
-    return value, tuple(sel)
+    return _solve("Gamma_t", g, cap)
 
 
 def game_total_domination_number(g: Graph, cap: int | None = None):
     """(gamma_tg, principal line under optimal play, minimizer first)."""
-    _require_no_isolated(g, "the total domination game")
-    ensure_capacity(g.n, cap)
-    value, trace = engine.game_cover_value(g.open_masks(), g.full_mask)
-    certify(
-        is_total_dominating_sequence(g, trace) and len(trace) == value, "gamma_tg"
-    )
-    return value, tuple(trace)
+    return _solve("gamma_tg", g, cap)
 
 
 def grundy_total_domination_number(g: Graph, cap: int | None = None):
     """(gamma_grt, a longest total dominating sequence)."""
-    _require_no_isolated(g, "a total dominating sequence")
-    ensure_capacity(g.n, cap)
-    value, seq = engine.max_cover_sequence(g.open_masks(), g.full_mask)
-    certify(
-        is_total_dominating_sequence(g, seq) and len(seq) == value, "gamma_grt"
-    )
-    return value, tuple(seq)
+    return _solve("gamma_grt", g, cap)
 
 
 def grundy_domination_number(g: Graph, cap: int | None = None):
-    """(gamma_gr, a longest dominating sequence).
-
-    Isolated vertices are mathematically fine here (each dominates itself)
-    but rejected for uniformity with the open-neighborhood invariants.
-    """
-    _require_no_isolated(g, "grundy_domination_number")
-    ensure_capacity(g.n, cap)
-    value, seq = engine.max_cover_sequence(g.closed_masks(), g.full_mask)
-    certify(is_dominating_sequence(g, seq) and len(seq) == value, "gamma_gr")
-    return value, tuple(seq)
+    """(gamma_gr, a longest dominating sequence)."""
+    return _solve("gamma_gr", g, cap)
 
 
 def strong_matching_number(g: Graph, cap: int | None = None):
     """(nu_s, a maximum strong matching as a tuple of edges)."""
-    ensure_capacity(g.n, cap)
-    value, pairs = engine.max_matching(g.open_masks(), g.n, False)
-    certify(_matching_ok(g, pairs, False) and len(pairs) == value, "nu_s")
-    return value, tuple(pairs)
+    return _solve("nu_s", g, cap)
 
 
 def semistrong_matching_number(g: Graph, cap: int | None = None):
     """(nu_ss, a maximum semistrong matching as a tuple of edges)."""
-    ensure_capacity(g.n, cap)
-    value, pairs = engine.max_matching(g.open_masks(), g.n, True)
-    certify(_matching_ok(g, pairs, True) and len(pairs) == value, "nu_ss")
-    return value, tuple(pairs)
-
-
-def _matching_ok(g: Graph, pairs, semistrong: bool) -> bool:
-    vmask = 0
-    for u, v in pairs:
-        if not g.has_edge(u, v):
-            return False
-        if vmask & ((1 << u) | (1 << v)):
-            return False
-        vmask |= (1 << u) | (1 << v)
-    for u, v in pairs:
-        du = (g.adj[u] & vmask).bit_count()
-        dv = (g.adj[v] & vmask).bit_count()
-        if semistrong:
-            if du != 1 and dv != 1:
-                return False
-        elif du != 1 or dv != 1:
-            return False
-    return True
+    return _solve("nu_ss", g, cap)
 
 
 def _sequences_of_lengths(g: Graph, lengths, cap: int | None):
-    """A certified total dominating sequence of each wanted length that has one."""
-    _require_no_isolated(g, "a total dominating sequence")
-    ensure_capacity(g.n, cap)
+    """Total dominating sequences of the wanted lengths, checked as gamma_grt's."""
+    _, undefined, _, certificate = _INVARIANTS["gamma_grt"]
+    _admit(g, undefined, cap)
     found = engine.sequence_of_length(g.open_masks(), g.full_mask, lengths)
     for length, seq in found.items():
-        certify(
-            is_total_dominating_sequence(g, seq) and len(seq) == length,
-            "fixed-length sequence",
-        )
+        certify(certificate(g, seq) and len(seq) == length, "fixed-length sequence")
     return {length: tuple(seq) for length, seq in found.items()}
 
 
@@ -226,17 +204,6 @@ def interpolation_witnesses(g: Graph, rep: InvariantReport, cap: int | None = No
 
 
 # -- aggregated report ---------------------------------------------------------
-
-_DISPATCH = {
-    "gamma_t": total_domination_number,
-    "Gamma_t": upper_total_domination_number,
-    "gamma_tg": game_total_domination_number,
-    "gamma_grt": grundy_total_domination_number,
-    "gamma_gr": grundy_domination_number,
-    "nu_s": strong_matching_number,
-    "nu_ss": semistrong_matching_number,
-}
-
 
 @dataclass(frozen=True)
 class InvariantResult:
@@ -277,8 +244,9 @@ def compute_report(g: Graph, keys=None, cap: int | None = None) -> InvariantRepo
     if keys is None:
         keys = INVARIANT_KEYS
     else:
-        unknown = [k for k in keys if k not in _DISPATCH]
+        unknown = [k for k in keys if k not in _INVARIANTS]
         if unknown:
             raise ParameterError(f"unknown invariants: {unknown}")
-    results = {key: timed_result(_DISPATCH[key], g, cap) for key in keys}
+    # the rows run directly, so a rebound public solver never wraps a report's solve
+    results = {key: timed_result(partial(_solve, key), g, cap) for key in keys}
     return InvariantReport(g.n, g.edge_count(), results)

@@ -161,6 +161,26 @@ def test_verify_input_of_the_wrong_kind_is_usage_error(tmp_path, capsys, check, 
     assert err.startswith("error: check ") and "but the source provides" in err
 
 
+@pytest.mark.parametrize("argv", [["compute"], ["verify", "thm8.3"]], ids=["compute", "verify"])
+def test_two_inputs_are_a_usage_error(tmp_path, capsys, argv):
+    # a command reads one input, so neither may be dropped silently
+    h = tmp_path / "h.txt"
+    h.write_text("2 3\n0\n1\n0 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--family", "path:4", "--hypergraph", str(h)])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "not allowed with argument --family" in err
+
+
+def test_invariant_with_a_hypergraph_is_usage_error(tmp_path, capsys):
+    h = tmp_path / "h.txt"
+    h.write_text("2 3\n0\n1\n0 1\n")
+    code, out, err = run(capsys, "compute", "--hypergraph", str(h), "--invariant", "gt")
+    assert (code, out) == (2, "")
+    assert err == "error: --invariant applies to graphs, not to --hypergraph\n"
+
+
 def test_verify_json_shape(capsys):
     code, out, _ = run(capsys, "verify", "thm4.2", "--family", "path:4", "--json")
     assert code == 0
@@ -453,3 +473,22 @@ def test_oversized_edge_list_header_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "compute", "--graph", str(f), "--format", "edges", "--invariant", "gt")
     assert code == 2
     assert "258047" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--graph", "{f}"],
+        ["verify", "thm4.2", "--graph", "{f}"],
+        ["convert", "{f}", "--format", "g6", "--to", "edges"],
+        ["sweep", "g6:{f}"],
+    ],
+    ids=["compute", "verify", "convert", "sweep"],
+)
+def test_empty_graph6_input_is_usage_error(tmp_path, capsys, argv):
+    # an empty edge list or hypergraph file is refused the same way
+    f = tmp_path / "empty.g6"
+    f.write_text("\n")
+    code, out, err = run(capsys, *(arg.format(f=f) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == "error: empty graph6 input\n"

@@ -14,6 +14,7 @@ from grundytd import (
     prune_to_closed,
     random_connected_graph,
 )
+from grundytd.sequences import is_strong_matching
 from grundytd.theorems import _greedy_sequence
 import random
 
@@ -130,3 +131,14 @@ def test_pruned_sequences_closed_legal(n, pyrandom):
     _, seq = oracles.longest_sequence(g, "open")
     pruned = prune_to_closed(g, seq)
     assert closed_report(g, pruned).legal
+
+
+def test_strong_and_semistrong_matchings_of_a_path():
+    p4 = path(4)  # 0-1-2-3
+    assert is_strong_matching(p4, [(1, 2)], False)
+    # 1 and 2 are adjacent, so each edge has one end with two matched neighbors
+    assert not is_strong_matching(p4, [(0, 1), (2, 3)], False)
+    assert is_strong_matching(p4, [(0, 1), (2, 3)], True)
+    assert not is_strong_matching(p4, [(0, 2)], True)  # not an edge
+    assert not is_strong_matching(p4, [(0, 1), (1, 2)], True)  # shares 1
+    assert not is_strong_matching(path(6), [(0, 1), (2, 3), (4, 5)], True)

@@ -38,6 +38,7 @@ from grundytd import (
     total_domination_number,
     upper_total_domination_number,
 )
+from grundytd.cli import main
 
 
 def test_p4_closed_value():
@@ -209,6 +210,31 @@ def test_report_reuses_memory_of_a_finished_search():
         alone = max(peak_kb(seed, "path"), peak_kb(seed, "cycle"))
         excess_kb[seed] = peak_kb(seed, "path", "cycle") - alone
     assert max(excess_kb.values()) < 512, excess_kb
+
+
+# report order: key -> (CLI token, public solver)
+ROWS = {
+    "gamma_t": ("gt", total_domination_number),
+    "Gamma_t": ("Gt", upper_total_domination_number),
+    "gamma_tg": ("gtg", game_total_domination_number),
+    "gamma_grt": ("grt", grundy_total_domination_number),
+    "gamma_gr": ("gr", grundy_domination_number),
+    "nu_s": ("nus", strong_matching_number),
+    "nu_ss": ("nuss", semistrong_matching_number),
+}
+
+
+def test_every_entry_point_reads_the_same_row(connected_upto_6, capsys):
+    assert solver.INVARIANT_KEYS == tuple(ROWS) == tuple(compute_report(path(4)).results)
+    assert solver.TOKEN_TO_KEY == {token: key for key, (token, _) in ROWS.items()}
+    for key, (token, _) in ROWS.items():
+        assert main(["compute", "--family", "path:4", "--invariant", token]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[1:]] == [key]
+    for g in connected_upto_6:
+        rep = compute_report(g)
+        for key, (_, solve) in ROWS.items():
+            assert solve(g) == (rep.value(key), rep.witness(key)), (key, g.edges())
 
 
 def test_report_subset_of_keys():
