@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
-"""Time the connected-graph corpus from an empty cache, normalized by a reference loop.
+"""Time the connected and regular graph corpora from an empty cache, normalized by a reference loop.
 
 Usage:
   python3 scripts/bench_corpus.py [--src DIR] [--label NAME] [--repeat N] [--out FILE]
 
-Each round empties the enumeration cache and times connected_graphs(n) for
-n = 7 and 8 (each call builds every lower order too).  The reference loop
+Each round empties the enumeration caches and times connected_graphs(n) for
+n = 7 and 8 (each call builds every lower order too) and
+connected_regular_graphs(n, k) for (n, k) in REGULAR.  The regular rows lift
+the module's order limits first, so that a checkout with lower limits is
+measured on the same rows.  The reference loop
 of scripts/bench_invariants.py runs before the first round and after every
 round; each time is divided by the mean of the two loops around its round,
 so `ref_units` stays comparable on a machine whose speed drifts.  Every
 figure is the median over --repeat rounds.
 
 One more pass, untimed, counts the calls of smallgraphs.canonical_form and
-smallgraphs._search for each order and digests each list (orders and
+smallgraphs._search for each row and digests each list (orders and
 adjacency rows, in list order), so two records with the same digest built
 the same list in the same order.
 
@@ -38,10 +41,22 @@ from bench_invariants import time_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 ORDERS = (7, 8)
+REGULAR = ((10, 3), (12, 3), (14, 3), (10, 4), (11, 4))
+ROWS = {f"connected_graphs({n})": ("connected_graphs", (n,)) for n in ORDERS}
+ROWS.update(
+    {f"connected_regular_graphs({n}, {k})": ("connected_regular_graphs", (n, k)) for n, k in REGULAR}
+)
 
 
-def counted(smallgraphs, n: int) -> dict:
-    """Build connected_graphs(n) from an empty cache, counting calls."""
+def build(smallgraphs, fn: str, args: tuple) -> list:
+    """One row's list, built from empty enumeration caches."""
+    smallgraphs._connected_cache.clear()
+    smallgraphs._regular_cache.clear()
+    return getattr(smallgraphs, fn)(*args)
+
+
+def counted(smallgraphs, fn: str, args: tuple) -> dict:
+    """Build one row's list, counting calls."""
     calls = {"canonical_form": 0, "_search": 0}
     originals = {name: getattr(smallgraphs, name) for name in calls}
 
@@ -52,14 +67,13 @@ def counted(smallgraphs, n: int) -> dict:
 
         return wrapper
 
-    smallgraphs._connected_cache.clear()
     for name in calls:
         setattr(smallgraphs, name, counting(name))
     try:
-        graphs = smallgraphs.connected_graphs(n)
+        graphs = build(smallgraphs, fn, args)
     finally:
-        for name, fn in originals.items():
-            setattr(smallgraphs, name, fn)
+        for name, original in originals.items():
+            setattr(smallgraphs, name, original)
     digest = hashlib.sha256()
     for g in graphs:
         digest.update(repr((g.n, g.adj)).encode())
@@ -68,11 +82,10 @@ def counted(smallgraphs, n: int) -> dict:
 
 def run_round(smallgraphs) -> dict[str, float]:
     times = {}
-    for n in ORDERS:
-        smallgraphs._connected_cache.clear()
+    for name, row in ROWS.items():
         start = perf_counter()
-        smallgraphs.connected_graphs(n)
-        times[f"connected_graphs({n})"] = perf_counter() - start
+        build(smallgraphs, *row)
+        times[name] = perf_counter() - start
     return times
 
 
@@ -89,7 +102,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     from grundytd import smallgraphs
 
-    counts = {f"connected_graphs({n})": counted(smallgraphs, n) for n in ORDERS}
+    # the largest rows of REGULAR, for a checkout whose limits are lower
+    smallgraphs.MAX_CUBIC_ORDER = max(smallgraphs.MAX_CUBIC_ORDER, 14)
+    smallgraphs.MAX_REGULAR_ORDER = max(smallgraphs.MAX_REGULAR_ORDER, 11)
+    counts = {name: counted(smallgraphs, *row) for name, row in ROWS.items()}
     refs = [time_reference()]
     rounds = []
     for _ in range(args.repeat):
@@ -115,7 +131,7 @@ def main(argv=None) -> int:
     for name, t in timings.items():
         c = counts[name]
         print(
-            f"{name:22s} {t['s']:9.5f} s {t['ref_units']:9.4f} ref  {c['graphs']} graphs"
+            f"{name:34s} {t['s']:9.5f} s {t['ref_units']:9.4f} ref  {c['graphs']} graphs"
             f"  canonical_form {c['calls']['canonical_form']}  _search {c['calls']['_search']}"
             f"  sha256 {c['sha256'][:16]}"
         )

@@ -46,7 +46,19 @@ form kept (tests/oracles.py keeps that generator as the reference).  Why:
 - The leaves isomorphic to G are exactly G's BFS relabelings: any root,
   each vertex's newly found neighbours taking the next labels in any order.
 So a leaf is kept iff no BFS relabeling has a smaller choice sequence.
-The enumeration counts are pinned to published values in the tests.
+The test compares the positions below done, a node's smallest vertex short
+of degree k, and places only vertices of degree k, so a smaller choice at
+an inner node rejects every leaf below it.  It is incremental: a node hands
+its children the tied relabeling states at position done (the frontier),
+the states where it skipped a vertex short of degree k (pending, by
+vertex), its own choices (the target), and each child's degree-k vertices,
+marking those that have just reached k.  A child extends the frontier to
+its own done, resumes the pending states of the vertices that have just
+reached degree k, and searches afresh only from the roots that have.  This
+is exact: a degree-k row never changes deeper in the DFS, so every choice
+the parent compared, and the target's first done choices, are the same at
+the child (tests/oracles.py keeps the search from scratch at every node).
+The counts are pinned to published values.
 """
 
 from __future__ import annotations
@@ -58,11 +70,12 @@ from .errors import CapacityError
 from .graph import Graph, bits
 
 # The largest orders the enumerations may build (2 shared vCPUs): connected
-# order 9 (261,080 classes) takes about 58 s, cubic order 14 (509) about
-# 1 s, quartic and quintic order 10 (59 and 60) under 0.5 s each.
+# order 9 (261,080 classes) takes about 58 s; cubic order 16 (4,060) about
+# 1.5 s and order 18 (41,301) 20 s; at order 11 quartic, 6- and 8-regular
+# take 0.14, 0.46 and 0.42 s, and at order 12 6-regular (7,849) takes 18 s.
 MAX_CONNECTED_ORDER = 9
-MAX_CUBIC_ORDER = 14
-MAX_REGULAR_ORDER = 10
+MAX_CUBIC_ORDER = 16
+MAX_REGULAR_ORDER = 11
 
 # -- canonical form ----------------------------------------------------------
 
@@ -348,55 +361,69 @@ def _new_in_group(rows: tuple, n: int, groups: dict[int, list]) -> bool:
 _regular_cache: dict[tuple[int, int], list[Graph]] = {}
 
 
-def _first_in_class(rows, n: int, k: int, done: int) -> bool:
-    """Whether no BFS relabeling has a smaller choice at some position < done.
+def _resume_search(rows, done, target, complete, newly, frontier, pending):
+    """Resume the parent's search for a BFS relabeling with a smaller choice
+    than target at some position < done; None if there is one.
 
-    Branch and bound on the vertex placed at each position.  Only vertices
-    of degree k are placed, so at an inner node a smaller choice rejects all
-    leaves below.  Labels given as a block stay cells (masks, in label order)
-    until a tie splits each cell into the placed vertex's neighbours first.
+    Else returns the states reached at position done and, by vertex, the
+    states where that vertex was skipped for lacking degree k, as linked
+    (state, rest) pairs.  A state is (position, labeled mask, cells): labels
+    given as a block stay cells (masks, in label order) until a tie splits
+    each cell into the placed vertex's neighbours first.  newly marks the
+    vertices of complete that just reached degree k.
     """
-    target = []  # the choices of rows itself: (fresh count, old label mask)
-    touched = 1
-    for u in range(done):
-        higher = rows[u] >> (u + 1) << (u + 1)
-        fresh = (higher >> touched).bit_count()
-        target.append((fresh, higher & ((1 << touched) - 1)))
-        touched += fresh
-    complete = sum(1 << v for v in range(n) if rows[v].bit_count() == k)
+    reached = []
+    waiting = dict(pending)
 
-    def smaller(j: int, labeled: int, cells: list[int]) -> bool:
-        if j >= done:
-            return False
-        head = cells[0]
+    def place(j: int, labeled: int, cells: list[int], v: int) -> bool:
+        fresh = rows[v] & ~labeled
         want_fresh, want_old = target[j]
-        for v in bits(head & complete):
-            fresh = rows[v] & ~labeled
-            if fresh.bit_count() != want_fresh:
-                if fresh.bit_count() < want_fresh:
-                    return True
-                continue
-            old, pos, split = 0, j + 1, []
-            for cell in [head ^ (1 << v)] + cells[1:]:
-                inner = rows[v] & cell
-                if inner:
-                    old |= ((1 << inner.bit_count()) - 1) << pos
-                    split.append(inner)
-                if inner != cell:
-                    split.append(cell ^ inner)
-                pos += cell.bit_count()
-            if old != want_old:
-                diff = old ^ want_old
-                if old & diff & -diff:  # the lowest differing label is ours
-                    return True
-                continue
-            if fresh:
-                split.append(fresh)
-            if smaller(j + 1, labeled | fresh, split):
+        if fresh.bit_count() != want_fresh:
+            return fresh.bit_count() < want_fresh
+        old, pos, split = 0, j + 1, []
+        for cell in [cells[0] ^ (1 << v)] + cells[1:]:
+            inner = rows[v] & cell
+            if inner:
+                old |= ((1 << inner.bit_count()) - 1) << pos
+                split.append(inner)
+            if inner != cell:
+                split.append(cell ^ inner)
+            pos += cell.bit_count()
+        if old != want_old:
+            diff = old ^ want_old
+            return bool(old & diff & -diff)  # the lowest differing label is ours
+        if fresh:
+            split.append(fresh)
+        return search(j + 1, labeled | fresh, split)
+
+    def search(j: int, labeled: int, cells: list[int]) -> bool:
+        state = (j, labeled, cells)
+        if j >= done:
+            if j < len(rows):  # a state at position n has nothing left to place
+                reached.append(state)
+            return False
+        skipped = cells[0] & ~complete
+        if skipped:
+            for v in bits(skipped):
+                waiting[v] = (state, waiting.get(v))
+        for v in bits(cells[0] & complete):
+            if place(j, labeled, cells, v):
                 return True
         return False
 
-    return not any(smaller(1, rows[r] | 1 << r, [rows[r]]) for r in bits(complete))
+    for v in bits(newly):
+        link = waiting.pop(v, None)
+        while link:
+            state, link = link
+            if place(*state, v):
+                return None
+    for state in frontier:
+        if search(*state):
+            return None
+    for r in bits(newly):
+        if search(1, rows[r] | 1 << r, [rows[r]]):
+            return None
+    return reached, waiting
 
 
 def connected_regular_graphs(n: int, k: int) -> list[Graph]:
@@ -406,7 +433,9 @@ def connected_regular_graphs(n: int, k: int) -> list[Graph]:
     u with degree < k by fresh vertices (the next unused ids) plus deficient
     higher ones already introduced; fewer fresh first, then combinations in
     order.  A node whose completed rows lose to a BFS relabeling is cut, and
-    a leaf that loses is dropped (see the module docstring).  Returns [] if
+    a leaf that loses is dropped; each node passes its search to its
+    children through finish's arguments (see the module docstring).  K_n is
+    returned directly, since it has n! relabelings to try.  Returns [] if
     n * k is odd, k >= n or k < 0.  Orders above MAX_CUBIC_ORDER (k <= 3)
     or MAX_REGULAR_ORDER (k > 3) raise CapacityError.
     """
@@ -414,16 +443,23 @@ def connected_regular_graphs(n: int, k: int) -> list[Graph]:
     _check_order(n, limit, "cubic" if k == 3 else f"{k}-regular")
     if k < 0 or k >= n or n * k % 2:
         return []
+    if k == n - 1:
+        return [Graph(n, tuple(((1 << n) - 1) ^ (1 << v) for v in range(n)))]
     if (n, k) in _regular_cache:
         return _regular_cache[n, k]
     result: list[Graph] = []
 
-    def finish(rows, touched: int):
+    def finish(rows, touched: int, target, complete, newly, frontier, pending):
+        deficient = ((1 << touched) - 1) & ~complete
+        u = (deficient & -deficient).bit_length() - 1 if deficient else touched
         # u == touched: every introduced vertex is saturated, which is a leaf
         # if all n are introduced and a dead end (the rest unreachable) if not
-        deficient = sum(1 << v for v in range(touched) if rows[v].bit_count() < k)
-        u = (deficient & -deficient).bit_length() - 1 if deficient else touched
-        if u == touched < n or not _first_in_class(rows, n, k, u):
+        if u == touched < n:
+            return
+        # the vertices after the parent's u were saturated before their turn
+        target = target + [(0, 0)] * (u - len(target))
+        found = _resume_search(rows, u, target, complete, newly, frontier, pending)
+        if found is None:
             return
         if u == n:
             result.append(Graph(n, tuple(rows)))
@@ -432,13 +468,16 @@ def connected_regular_graphs(n: int, k: int) -> list[Graph]:
         olds = list(bits(deficient & ~rows[u] & -(2 << u)))
         for fresh in range(min(missing, n - touched) + 1):
             for chosen in itertools.combinations(olds, missing - fresh):
-                new_rows = list(rows)
+                new_rows, full = list(rows), 1 << u
                 for w in chosen + tuple(range(touched, touched + fresh)):
                     new_rows[u] |= 1 << w
                     new_rows[w] |= 1 << u
-                finish(new_rows, touched + fresh)
+                    if new_rows[w].bit_count() == k:
+                        full |= 1 << w
+                choice = (fresh, sum(1 << w for w in chosen))  # u's, in the child
+                finish(new_rows, touched + fresh, target + [choice], complete | full, full, *found)
 
-    finish([0] * n, 1)
+    finish([0] * n, 1, [], 0, 0, [], {})
     result.sort(key=lambda g: g.adj)
     _regular_cache[n, k] = result
     return result

@@ -593,6 +593,107 @@ def connected_cubic_graphs_reference(n):
     return result
 
 
+_regular_reference_cache = {}
+
+
+def _first_in_class(rows, n: int, k: int, done: int) -> bool:
+    """Whether no BFS relabeling has a smaller choice at some position < done.
+
+    Branch and bound on the vertex placed at each position.  Only vertices
+    of degree k are placed, so at an inner node a smaller choice rejects all
+    leaves below.  Labels given as a block stay cells (masks, in label order)
+    until a tie splits each cell into the placed vertex's neighbours first.
+    """
+    target = []  # the choices of rows itself: (fresh count, old label mask)
+    touched = 1
+    for u in range(done):
+        higher = rows[u] >> (u + 1) << (u + 1)
+        fresh = (higher >> touched).bit_count()
+        target.append((fresh, higher & ((1 << touched) - 1)))
+        touched += fresh
+    complete = sum(1 << v for v in range(n) if rows[v].bit_count() == k)
+
+    def smaller(j: int, labeled: int, cells: list[int]) -> bool:
+        if j >= done:
+            return False
+        head = cells[0]
+        want_fresh, want_old = target[j]
+        for v in bits(head & complete):
+            fresh = rows[v] & ~labeled
+            if fresh.bit_count() != want_fresh:
+                if fresh.bit_count() < want_fresh:
+                    return True
+                continue
+            old, pos, split = 0, j + 1, []
+            for cell in [head ^ (1 << v)] + cells[1:]:
+                inner = rows[v] & cell
+                if inner:
+                    old |= ((1 << inner.bit_count()) - 1) << pos
+                    split.append(inner)
+                if inner != cell:
+                    split.append(cell ^ inner)
+                pos += cell.bit_count()
+            if old != want_old:
+                diff = old ^ want_old
+                if old & diff & -diff:  # the lowest differing label is ours
+                    return True
+                continue
+            if fresh:
+                split.append(fresh)
+            if smaller(j + 1, labeled | fresh, split):
+                return True
+        return False
+
+    return not any(smaller(1, rows[r] | 1 << r, [rows[r]]) for r in bits(complete))
+
+
+def connected_regular_graphs_reference(n, k):
+    """Connected k-regular graphs of order n by the stateless orderly test.
+
+    A verbatim copy of smallgraphs.connected_regular_graphs before its
+    canonicity test resumed the parent node's search, with its own cache and
+    no order limit.  The incremental test compares exactly the same choices,
+    so it must return exactly this list.
+
+    Depth-first completion: finish the neighbourhood of the smallest vertex
+    u with degree < k by fresh vertices (the next unused ids) plus deficient
+    higher ones already introduced; fewer fresh first, then combinations in
+    order.  A node whose completed rows lose to a BFS relabeling is cut, and
+    a leaf that loses is dropped (see the smallgraphs module docstring).
+    Returns [] if n * k is odd, k >= n or k < 0.
+    """
+    if k < 0 or k >= n or n * k % 2:
+        return []
+    if (n, k) in _regular_reference_cache:
+        return _regular_reference_cache[n, k]
+    result: list[Graph] = []
+
+    def finish(rows, touched: int):
+        # u == touched: every introduced vertex is saturated, which is a leaf
+        # if all n are introduced and a dead end (the rest unreachable) if not
+        deficient = sum(1 << v for v in range(touched) if rows[v].bit_count() < k)
+        u = (deficient & -deficient).bit_length() - 1 if deficient else touched
+        if u == touched < n or not _first_in_class(rows, n, k, u):
+            return
+        if u == n:
+            result.append(Graph(n, tuple(rows)))
+            return
+        missing = k - rows[u].bit_count()
+        olds = list(bits(deficient & ~rows[u] & -(2 << u)))
+        for fresh in range(min(missing, n - touched) + 1):
+            for chosen in combinations(olds, missing - fresh):
+                new_rows = list(rows)
+                for w in chosen + tuple(range(touched, touched + fresh)):
+                    new_rows[u] |= 1 << w
+                    new_rows[w] |= 1 << u
+                finish(new_rows, touched + fresh)
+
+    finish([0] * n, 1)
+    result.sort(key=lambda g: g.adj)
+    _regular_reference_cache[n, k] = result
+    return result
+
+
 # Verbatim copies of the longest-sequence and game kernels before they were
 # pruned.  Every state is expanded and the witness is read back from the
 # complete memo table, so the pruned kernels must return exactly these values

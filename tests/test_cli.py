@@ -334,7 +334,7 @@ def test_malformed_generate_enumeration_is_usage_error(capsys, argv, message):
         ("generate", "cubic:100000"),
         ("generate", "connected:10"),
         ("sweep", "connected:3000"),
-        ("sweep", "cubic:16", "--suite", "regular"),
+        ("sweep", "cubic:18", "--suite", "regular"),
     ],
 )
 def test_enumeration_above_its_limit_is_capacity_error(capsys, argv):

@@ -92,6 +92,12 @@ def test_cubic_count_order_twelve():
     assert len(connected_cubic_graphs(12)) == 85
 
 
+@pytest.mark.slow
+def test_cubic_counts_up_to_the_limit():
+    # OEIS A002851
+    assert [len(connected_cubic_graphs(n)) for n in (14, 16)] == [509, 4060]
+
+
 def test_cubic_graphs_are_cubic_and_connected():
     for n in (4, 6, 8):
         for g in connected_cubic_graphs(n):
@@ -140,13 +146,30 @@ def _check_regular_classes(n, k, count):
 
 @pytest.mark.parametrize(
     "n, k, count",
-    # quartic graphs of order 5-10 (OEIS A006820), quintic of order 6, 8
-    # and 10 (A006821)
-    [(5, 4, 1), (6, 4, 1), (7, 4, 2), (8, 4, 6), (9, 4, 16), (10, 4, 59)]
-    + [(6, 5, 1), (8, 5, 3), (10, 5, 60)],
+    # quartic graphs of order 5-11 (OEIS A006820), quintic of order 6, 8
+    # and 10 (A006821), 6-regular of order 7-11 (A006822), 7-regular of
+    # order 8 and 10 (A014377), 8-regular of order 9-11 (A014378)
+    [(5, 4, 1), (6, 4, 1), (7, 4, 2), (8, 4, 6), (9, 4, 16), (10, 4, 59), (11, 4, 265)]
+    + [(6, 5, 1), (8, 5, 3), (10, 5, 60)]
+    + [(7, 6, 1), (8, 6, 1), (9, 6, 4), (10, 6, 21), (11, 6, 266)]
+    + [(8, 7, 1), (10, 7, 5)]
+    + [(9, 8, 1), (10, 8, 1), (11, 8, 6)],
 )
 def test_regular_counts(n, k, count):
     _check_regular_classes(n, k, count)
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(n, 3) for n in range(4, 13)]
+    + [(n, 4) for n in range(5, 11)]
+    + [(6, 5), (8, 5), (10, 5)]
+    + [(n, k) for k in (6, 7, 8) for n in range(k + 1, 11)]
+    + [pytest.param(n, k, marks=pytest.mark.slow) for n, k in ((14, 3), (11, 4), (11, 6), (11, 8))],
+)
+def test_regular_graphs_match_reference_generator(n, k):
+    # the stateless orderly test, re-searching every relabeling at each node
+    assert connected_regular_graphs(n, k) == oracles.connected_regular_graphs_reference(n, k)
 
 
 def test_regular_graphs_of_impossible_or_small_degree():
