@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import solver, theorems
 from .errors import GrundyTDError, InvariantViolation
@@ -57,8 +58,7 @@ from .hypergraph import (
 from .solver import InvariantReport
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     tested: int

@@ -5,13 +5,16 @@ is set iff uv is an edge; Python ints grow as needed, so the Graph class
 does not cap n (the exact solvers apply their own size cap); the named
 families stop at MAX_ORDER and at MAX_ADJACENCY_BITS.  Graphs are immutable
 and hashable on (n, adjacency).
+
+Graph, Hypergraph and the result records are plain classes with __slots__ or
+NamedTuples, not dataclasses, so that importing them runs no generated code:
+every CLI command is a fresh process, and start-up is most of a short one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import ParameterError
 
@@ -36,28 +39,40 @@ def bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    adj: tuple[int, ...]
+def _immutable(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"graph order must be >= 1, got {self.n}")
-        if len(self.adj) != self.n:
-            raise ParameterError(
-                f"adjacency has {len(self.adj)} rows for order {self.n}"
-            )
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+
+class Graph:
+    __slots__ = ("n", "adj")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        if n < 1:
+            raise ParameterError(f"graph order must be >= 1, got {n}")
+        if len(adj) != n:
+            raise ParameterError(f"adjacency has {len(adj)} rows for order {n}")
+        full = (1 << n) - 1
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ParameterError(f"adjacency row of {v} mentions vertices >= n")
             if (row >> v) & 1:
                 raise ParameterError(f"self-loop at vertex {v}")
-        for u in range(self.n):
-            for v in bits(self.adj[u]):
-                if not (self.adj[v] >> u) & 1:
+        for u in range(n):
+            for v in bits(adj[u]):
+                if not (adj[v] >> u) & 1:
                     raise ParameterError(f"asymmetric adjacency between {u} and {v}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.n == other.n and self.adj == other.adj
+
+    def __hash__(self):
+        return hash((self.n, self.adj))
+
+    def __reduce__(self):
+        return type(self), (self.n, self.adj)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count()})"

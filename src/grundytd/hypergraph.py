@@ -24,36 +24,45 @@ witness of one kind into a witness of the other of the same length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import engine
 from .errors import InvariantViolation, ParameterError, PreconditionError
-from .graph import Graph, bits
+from .graph import Graph, _immutable, bits
 from .sequences import certify, check_cover_sequence, is_cover
 from .solver import ensure_capacity
 
 
-@dataclass(frozen=True)
 class Hypergraph:
-    n_vertices: int
-    edges: tuple[int, ...]
+    __slots__ = ("n_vertices", "edges")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        if self.n_vertices < 1:
+    def __init__(self, n_vertices: int, edges: tuple[int, ...]):
+        if n_vertices < 1:
             raise ParameterError("ground set must be nonempty")
-        if not self.edges:
+        if not edges:
             raise ParameterError("hypergraph needs at least one hyperedge")
-        full = (1 << self.n_vertices) - 1
+        full = (1 << n_vertices) - 1
         covered = 0
-        for i, mask in enumerate(self.edges):
+        for i, mask in enumerate(edges):
             if mask == 0:
                 raise ParameterError(f"hyperedge {i} is empty")
             if mask & ~full:
                 raise ParameterError(f"hyperedge {i} mentions vertices >= n")
             covered |= mask
         if covered != full:
-            missing = [x for x in range(self.n_vertices) if not (covered >> x) & 1]
+            missing = [x for x in range(n_vertices) if not (covered >> x) & 1]
             raise ParameterError(f"isolated ground vertices: {missing}")
+        object.__setattr__(self, "n_vertices", n_vertices)
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return same and self.n_vertices == other.n_vertices and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n_vertices, self.edges))
+
+    def __reduce__(self):
+        return type(self), (self.n_vertices, self.edges)
 
     @classmethod
     def from_edge_lists(cls, n_vertices: int, edge_lists) -> "Hypergraph":

@@ -17,7 +17,7 @@ kernels or with the constructions in theorems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantViolation, SequenceError
 from .graph import Graph
@@ -41,8 +41,7 @@ def certify(ok: bool, what: str) -> None:
         raise InvariantViolation(f"solver produced an invalid {what} certificate")
 
 
-@dataclass(frozen=True)
-class LegalityReport:
+class LegalityReport(NamedTuple):
     """Outcome of checking one sequence.
 
     footprints[pos] is the mask of the universe elements that the entry at

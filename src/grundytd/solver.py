@@ -22,13 +22,16 @@ sequences module, where a failure is a bug, not bad input.
 Rows hold lambdas, never the kernel or checker objects, so both are looked
 up at each call: tests replace engine kernels and a profiler may rebind the
 checkers imported here, and either must reach every solve.
+
+The report records are NamedTuples rather than dataclasses, so that importing
+this module, as every compute command does, runs no generated code.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from . import engine
 from .errors import CapacityError, DomainError, InvariantViolation, ParameterError
@@ -205,15 +208,13 @@ def interpolation_witnesses(g: Graph, rep: InvariantReport, cap: int | None = No
 
 # -- aggregated report ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(NamedTuple):
     value: int
     witness: tuple
     micros: int
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     n: int
     edge_count: int
     results: dict[str, InvariantResult]

@@ -34,8 +34,8 @@ statements.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import solver
 from .errors import CapacityError, DomainError, InvariantViolation, PreconditionError
@@ -53,8 +53,7 @@ from .smallgraphs import canonical_form  # noqa: F401  perfbench/tracer.py rebin
 # -- order-matching labeling (value n characterization) -----------------------
 
 
-@dataclass(frozen=True)
-class PairLabeling:
+class PairLabeling(NamedTuple):
     """Vertex pairing certifying that the longest sequence has length n.
 
     Pairs are (xs[i], ys[i]); sequence is (x_1..x_k, y_k..y_1), a total
@@ -267,8 +266,7 @@ def tree_matching_sequence(t: Graph, matching=None) -> tuple[int, ...]:
 # -- trees: the leaf-path extension family ----------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyTCertificate:
+class FamilyTCertificate(NamedTuple):
     """Build trace: a single edge, then repeated leaf-path extensions.
 
     Each step attaches the path a-b-c to an existing support vertex v via
@@ -416,8 +414,7 @@ def is_in_family_t(t: Graph) -> FamilyTCertificate | None:
     return cert
 
 
-@dataclass(frozen=True)
-class TreeBoundReport:
+class TreeBoundReport(NamedTuple):
     """How a tree sits relative to the 2(n+1)/3 lower bound.  When the bound
     applies, certificate is the tree's family T certificate, or None if the
     tree is not a member."""
@@ -454,8 +451,7 @@ def tree_bound_report(t: Graph, rep: solver.InvariantReport) -> TreeBoundReport:
 # -- regular graphs: the two-phase greedy construction -----------------------------
 
 
-@dataclass(frozen=True)
-class RegularConstruction:
+class RegularConstruction(NamedTuple):
     sequence: tuple[int, ...]
     k: int
     bipartite: bool
@@ -574,14 +570,12 @@ def regular_greedy_sequence(g: Graph) -> RegularConstruction:
 # -- bound report over all invariants ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     name: str
     holds: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     checks: tuple[BoundCheck, ...]
 
     @property

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from grundytd import (
@@ -123,6 +125,35 @@ def test_build_family_rejects_unknown():
 def test_graph_rejects_self_loop():
     with pytest.raises((ParameterError, ParseError, ValueError)):
         Graph.from_edges(2, [(0, 0)])
+
+
+def test_graph_equality_hash_and_immutability():
+    g = Graph(2, (2, 1))
+    assert g == Graph.from_edges(2, [(0, 1)])
+    assert g != (2, (2, 1))
+    assert hash(g) == hash((2, (2, 1)))
+    assert len({g, path(2)}) == 1
+    assert pickle.loads(pickle.dumps(g)) == g
+    with pytest.raises(AttributeError):
+        g.n = 3
+    with pytest.raises(AttributeError):
+        del g.adj
+    assert (g.n, g.adj) == (2, (2, 1))
+
+
+@pytest.mark.parametrize(
+    "n, adj, message",
+    [
+        (0, (), "graph order must be >= 1, got 0"),
+        (2, (2,), "adjacency has 1 rows for order 2"),
+        (2, (4, 1), "adjacency row of 0 mentions vertices >= n"),
+        (2, (1, 0), "self-loop at vertex 0"),
+        (3, (2, 0, 0), "asymmetric adjacency between 0 and 1"),
+    ],
+)
+def test_graph_validation_errors(n, adj, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        Graph(n, adj)
 
 
 def test_family_adjacency_limit_is_checked_before_building():

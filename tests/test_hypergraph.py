@@ -65,6 +65,35 @@ def test_uncovered_vertex_rejected():
         Hypergraph.from_edge_lists(3, [[0], [1]])
 
 
+def test_hypergraph_equality_hash_and_immutability():
+    h = Hypergraph(2, (3,))
+    assert h == Hypergraph.from_edge_lists(2, [[0, 1]])
+    assert h != (2, (3,))
+    assert h != Hypergraph(2, (3, 3))
+    # a graph with the same two fields is not a hypergraph
+    assert Hypergraph(2, (2, 1)) != path(2)
+    assert hash(h) == hash((2, (3,)))
+    assert repr(h) == "Hypergraph(n=2, edges=1)"
+    with pytest.raises(AttributeError):
+        h.edges = (1, 2)
+    assert h.edges == (3,)
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (0, (1,), "ground set must be nonempty"),
+        (2, (), "hypergraph needs at least one hyperedge"),
+        (2, (3, 0), "hyperedge 1 is empty"),
+        (2, (4,), "hyperedge 0 mentions vertices >= n"),
+        (3, (1, 2), r"isolated ground vertices: \[2\]"),
+    ],
+)
+def test_hypergraph_validation_errors(n, edges, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        Hypergraph(n, edges)
+
+
 def test_legality_predicates():
     h = three_edge_h()
     assert is_legal_covering_sequence(h, (0, 1))

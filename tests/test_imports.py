@@ -49,13 +49,29 @@ def test_importing_the_package_imports_no_submodule():
 def test_importing_the_cli_loads_no_solver_checker_or_theorem():
     ours, loaded = grundytd_modules_after("import grundytd.cli")
     assert ours == {"cli", "errors", "formats", "graph", "smallgraphs"}
-    assert "fractions" not in loaded
+    assert not {"fractions", "dataclasses", "inspect"} & loaded
 
 
 def test_compute_loads_no_checker_theorem_or_hypergraph():
-    ours, _ = grundytd_modules_after(RUN_CLI, "compute", "--family", "path:6", "--all", "--json")
+    ours, loaded = grundytd_modules_after(
+        RUN_CLI, "compute", "--family", "path:6", "--all", "--json"
+    )
     assert {"solver", "engine", "sequences"} <= ours
     assert not {"checks", "theorems", "hypergraph"} & ours
+    # records are plain classes: importing them runs no generated code
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+def test_check_def_is_the_only_dataclass():
+    # the tracer and test_checks call dataclasses.replace on registry entries
+    decorated = []
+    for path in sorted((SRC / "grundytd").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                decorated.append(f"{path.stem}.{node.name}")
+    assert decorated == ["checks.CheckDef"]
 
 
 def test_every_export_is_its_submodules_object():
@@ -97,3 +113,25 @@ def test_every_import_in_the_package_is_used():
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno} {name}")
     assert unused == []
+
+
+def test_startup_bench_script_writes_its_record(tmp_path):
+    # the smallest run of scripts/bench_startup.py, which records start-up claims
+    out = tmp_path / "bench.json"
+    script = SRC.parent / "scripts" / "bench_startup.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--repeat", "1", "--label", "x", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())["x"]
+    assert set(record) == {"python", "nproc", "repeat", "cold", "warm"}
+    for name in ("cold", "warm"):
+        assert set(record[name]) == {
+            "python -c pass",
+            "import grundytd.cli",
+            "sweep cubic:10 --suite regular --json",
+            "compute --family path:10 --all --json",
+        }
+        for row in record[name].values():
+            assert set(row) == {"median_s", "iqr_s"} and row["median_s"] > 0
