@@ -14,10 +14,11 @@ round; each time is divided by the mean of the two loops around its round,
 so `ref_units` stays comparable on a machine whose speed drifts.  Every
 figure is the median over --repeat rounds.
 
-One more pass, untimed, counts the calls of smallgraphs.canonical_form and
-smallgraphs._search for each row and digests each list (orders and
-adjacency rows, in list order), so two records with the same digest built
-the same list in the same order.
+One more pass, untimed, counts the calls of each function of COUNTED that
+the measured smallgraphs defines (certificates, parent searches, tied
+children and their isomorphism searches) for each row and digests each list
+(orders and adjacency rows, in list order), so two records with the same
+digest built the same list in the same order.
 
 --src picks the package source to import (default: src/ of this checkout),
 so that two checkouts are measured by the same script.  --out merges the
@@ -42,6 +43,7 @@ from bench_invariants import time_reference
 ROOT = Path(__file__).resolve().parent.parent
 ORDERS = (7, 8)
 REGULAR = ((10, 3), (12, 3), (14, 3), (10, 4), (11, 4))
+COUNTED = ("canonical_form", "_search", "_new_in_group", "_reaches")
 ROWS = {f"connected_graphs({n})": ("connected_graphs", (n,)) for n in ORDERS}
 ROWS.update(
     {f"connected_regular_graphs({n}, {k})": ("connected_regular_graphs", (n, k)) for n, k in REGULAR}
@@ -57,7 +59,7 @@ def build(smallgraphs, fn: str, args: tuple) -> list:
 
 def counted(smallgraphs, fn: str, args: tuple) -> dict:
     """Build one row's list, counting calls."""
-    calls = {"canonical_form": 0, "_search": 0}
+    calls = {name: 0 for name in COUNTED if hasattr(smallgraphs, name)}
     originals = {name: getattr(smallgraphs, name) for name in calls}
 
     def counting(name):
@@ -130,10 +132,10 @@ def main(argv=None) -> int:
     }
     for name, t in timings.items():
         c = counts[name]
+        calls = "".join(f"  {fn} {k}" for fn, k in c["calls"].items())
         print(
             f"{name:34s} {t['s']:9.5f} s {t['ref_units']:9.4f} ref  {c['graphs']} graphs"
-            f"  canonical_form {c['calls']['canonical_form']}  _search {c['calls']['_search']}"
-            f"  sha256 {c['sha256'][:16]}"
+            f"{calls}  sha256 {c['sha256'][:16]}"
         )
     print(f"ref_s {record['ref_s']}")
     if args.out:

@@ -65,6 +65,15 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
 
+    @classmethod
+    def _from_valid_rows(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A graph from n >= 1 rows that the caller built in range, loop-free
+        and symmetric, skipping __init__'s checks."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     def __eq__(self, other):
         return other.__class__ is self.__class__ and self.n == other.n and self.adj == other.adj
 
@@ -89,7 +98,7 @@ class Graph:
                 raise ParameterError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        return cls._from_valid_rows(n, tuple(rows))
 
     # -- basic accessors ---------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Small-graph enumeration, canonical forms, and random instance generators.
 
-The sweeps need every connected graph up to order 8 and every connected
-cubic graph up to order 12, one representative per isomorphism class.
-Isomorph rejection in connected_graphs uses a canonical form computed by
-color refinement plus individualization: refine the coloring to a fixed
-point, split the first non-singleton color class on each of its vertices in
-turn, and take the minimum adjacency bitstring over the discrete leaves.
+The sweeps need every connected graph up to order 9 and every connected
+cubic graph up to order 16, one representative per isomorphism class.
+canonical_form is computed by color refinement plus individualization:
+refine the coloring to a fixed point, split the first non-singleton color
+class on each of its vertices in turn, and take the minimum adjacency
+bitstring over the discrete leaves.
 
 Refinement ranks the vertices by one integer each instead of a sorted
 tuple of neighbour colours; _refine states the precondition under which
@@ -31,9 +31,20 @@ group and o' a searched leaf's order with that integer; either o' = o, or
 meeting o' recorded the p with p(o) = o'.  So s is h or hp.
 
 connected_graphs skips most children by an edge-count rule and by the
-parent's automorphisms, and certifies only the rest that share a
-refinement invariant (see its docstring); its output is that of trying
-every child, which tests/oracles.py keeps as the reference.
+parent's automorphisms, and compares only the rest that share a refinement
+invariant (see its docstring); its output is that of trying every child,
+which tests/oracles.py keeps as the reference.  It compares two graphs, as
+are_isomorphic does, with no certificate: _first_path follows one branch of
+the first graph's tree, individualizing the first vertex of each cell, and
+_reaches searches the second graph's tree, by the same refinement and cell
+rule, for a leaf with the adjacency integer of that branch's leaf, cutting
+a node whose colour histogram differs from the branch's at its depth.  This
+is exact both ways.  An isomorphism maps the branch onto a branch of the
+second tree: refinement and the cell rule commute with it, so the colourings
+correspond, with equal histograms, and the leaf's vertex order is the image
+of the first leaf's, with the same integer.  Conversely, two leaves with the
+same integer list the two graphs' vertices in orders that map one adjacency
+onto the other.
 
 connected_regular_graphs is orderly (Meringer, "Fast generation of regular
 graphs", J. Graph Theory 30, 1999): computing no canonical form, its DFS
@@ -70,7 +81,7 @@ from .errors import CapacityError
 from .graph import Graph, bits
 
 # The largest orders the enumerations may build (2 shared vCPUs): connected
-# order 9 (261,080 classes) takes about 58 s; cubic order 16 (4,060) about
+# order 9 (261,080 classes) takes about 30 s; cubic order 16 (4,060) about
 # 1.5 s and order 18 (41,301) 20 s; at order 11 quartic, 6- and 8-regular
 # take 0.14, 0.46 and 0.42 s, and at order 12 6-regular (7,849) takes 18 s.
 MAX_CONNECTED_ORDER = 9
@@ -122,12 +133,7 @@ def _search(adj, n: int) -> tuple[int, list[list[int]]]:
 
     def leaf(colors: list[int]):
         nonlocal best
-        order = sorted(range(n), key=colors.__getitem__)
-        acc = 0
-        for j in range(1, n):
-            row = adj[order[j]]
-            for i in range(j):
-                acc = (acc << 1) | ((row >> order[i]) & 1)
+        acc, order = _leaf(adj, n, colors)
         prev = leaves.get(acc)
         if prev is None:
             leaves[acc] = order
@@ -177,11 +183,76 @@ def _search(adj, n: int) -> tuple[int, list[list[int]]]:
     return best, autos
 
 
+def _leaf(adj, n: int, colors: list[int]) -> tuple[int, list[int]]:
+    """Adjacency integer of a discrete colouring's vertex order, and the order."""
+    order = [0] * n
+    for v, c in enumerate(colors):  # discrete colours are the ranks 0..n-1
+        order[c] = v
+    acc = 0
+    for j in range(1, n):
+        row = adj[order[j]]
+        for i in range(j):
+            acc = (acc << 1) | ((row >> order[i]) & 1)
+    return acc, order
+
+
 def _root_colors(nbrs: list[list[int]], n: int) -> list[int]:
     # The first refinement pass from one colour ranks vertices by degree.
     degrees = [len(row) for row in nbrs]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
     return _refine(nbrs, n, [rank[d] for d in degrees])
+
+
+def _refinement(rows, n: int):
+    """Neighbour lists, root colouring and its key: each vertex's colour with
+    its neighbours' sorted colours, sorted."""
+    nbrs = [list(bits(row)) for row in rows]
+    colors = _root_colors(nbrs, n)
+    key = sorted(
+        (c, tuple(sorted(colors[u] for u in nbrs[v]))) for v, c in enumerate(colors)
+    )
+    return nbrs, colors, tuple(key)
+
+
+def _first_path(rows, n: int, colors: list[int]) -> tuple[list, int]:
+    """The colour histograms and cells along the path that individualizes
+    the first vertex of each cell, and the adjacency integer of its leaf."""
+    nbrs = [list(bits(row)) for row in rows]
+    path = []
+    while True:
+        hist = sorted(colors)  # colours are ranks, so this is the histogram
+        if hist[-1] == n - 1:
+            path.append((hist, -1))
+            return path, _leaf(rows, n, colors)[0]
+        cell = next(c for c, d in zip(hist, hist[1:]) if c == d)  # lowest held twice
+        path.append((hist, cell))
+        colors = list(colors)
+        colors[colors.index(cell)] = -1
+        colors = _refine(nbrs, n, colors)
+
+
+def _reaches(rows, nbrs, n: int, colors: list[int], path: list, target: int) -> bool:
+    """Whether the graph is isomorphic to the one whose _first_path is
+    (path, target), given its neighbour lists and root colouring: whether a
+    search of its individualization tree, cut where a colour histogram
+    differs from path's, reaches a leaf with adjacency integer target.  The
+    module docstring argues that this is exact."""
+
+    def search(depth: int, colors: list[int]) -> bool:
+        hist, cell = path[depth]
+        if sorted(colors) != hist:
+            return False
+        if cell < 0:
+            return _leaf(rows, n, colors)[0] == target
+        for v, c in enumerate(colors):
+            if c == cell:
+                branched = list(colors)
+                branched[v] = -1
+                if search(depth + 1, _refine(nbrs, n, branched)):
+                    return True
+        return False
+
+    return search(0, colors)
 
 
 def canonical_form(adj, n: int) -> bytes:
@@ -198,7 +269,11 @@ def graph_canonical_form(g: Graph) -> bytes:
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    return g.n == h.n and canonical_form(g.adj, g.n) == canonical_form(h.adj, h.n)
+    if g.n != h.n:
+        return False
+    _, colors, key = _refinement(g.adj, g.n)
+    nbrs, h_colors, h_key = _refinement(h.adj, h.n)
+    return key == h_key and _reaches(h.adj, nbrs, h.n, h_colors, *_first_path(g.adj, g.n, colors))
 
 
 # -- exhaustive enumeration ----------------------------------------------------
@@ -283,7 +358,7 @@ def connected_graphs(n: int) -> list[Graph]:
       are exact: one _search per parent, run when this order is built (never
       for the order asked for), records generators of Aut(parent) (see the
       module docstring).
-    A child that passes both is certified only if another could match it.
+    A child that passes both is compared only when another could match it.
     - No tie: w is the only non-cut vertex of degree d.  An isomorphism from
       another child that passed the degree rule maps that child's new
       vertex, a non-cut vertex of greatest degree, onto w.  So it comes from
@@ -292,8 +367,10 @@ def connected_graphs(n: int) -> list[Graph]:
       is new.  Having a tie is thus a property of the class.
     - Tie: children are grouped by their root refinement, each vertex's
       colour with its neighbours' sorted colours.  The first of a group is
-      new and stays uncertified; from the second on, the whole group is
-      certified, and a child is new iff its certificate is.
+      new and becomes the group's first class, kept as its rows and root
+      colouring.  A later child is new iff _reaches matches it with no class
+      of its group (see the module docstring); a class's first branch is
+      computed when a child is first compared with it.
 
     Orders above MAX_CONNECTED_ORDER raise CapacityError.
     """
@@ -302,10 +379,10 @@ def connected_graphs(n: int) -> list[Graph]:
         return []
     if n in _connected_cache:
         return _connected_cache[n]
-    level = [Graph(1, (0,))]
+    level = [Graph._from_valid_rows(1, (0,))]
     if n > 1:
         level = []
-        groups: dict[int, list] = {}  # key hash -> certificates or pending rows
+        groups: dict[int, list] = {}  # key hash -> classes: rows, colours[, path]
         w = n - 1
         for parent in connected_graphs(n - 1):
             rows_base = list(parent.adj)
@@ -332,29 +409,24 @@ def connected_graphs(n: int) -> list[Graph]:
                     rows = tuple(rows)
                     if tie and not _new_in_group(rows, n, groups):
                         continue
-                    level.append(Graph(n, rows))
+                    level.append(Graph._from_valid_rows(n, rows))
         level.sort(key=lambda g: (g.edge_count(), g.adj))
     _connected_cache[n] = level
     return level
 
 
 def _new_in_group(rows: tuple, n: int, groups: dict[int, list]) -> bool:
-    """Whether no child met so far with the same root refinement is
-    isomorphic to rows; if none is, rows joins that group, pending."""
-    nbrs = [list(bits(row)) for row in rows]
-    colors = _root_colors(nbrs, n)
-    key = sorted(
-        (c, tuple(sorted(colors[u] for u in nbrs[v]))) for v, c in enumerate(colors)
-    )
-    # keyed by hash: two keys that share one only cost certificates
-    group = groups.setdefault(hash(tuple(key)), [])
-    member = rows
-    if group:
-        group[:] = [m if isinstance(m, bytes) else canonical_form(m, n) for m in group]
-        member = canonical_form(rows, n)
-        if member in group:
+    """Whether no class met so far with the same root refinement is
+    isomorphic to rows; if none is, rows joins that group as a new class."""
+    nbrs, colors, key = _refinement(rows, n)
+    # keyed by hash: two keys that share one only cost searches
+    group = groups.setdefault(hash(key), [])
+    for member in group:
+        if len(member) == 2:  # its path, when first needed
+            member.extend(_first_path(member[0], n, member[1]))
+        if _reaches(rows, nbrs, n, colors, member[2], member[3]):
             return False
-    group.append(member)
+    group.append([rows, colors])
     return True
 
 
@@ -444,7 +516,7 @@ def connected_regular_graphs(n: int, k: int) -> list[Graph]:
     if k < 0 or k >= n or n * k % 2:
         return []
     if k == n - 1:
-        return [Graph(n, tuple(((1 << n) - 1) ^ (1 << v) for v in range(n)))]
+        return [Graph._from_valid_rows(n, tuple(((1 << n) - 1) ^ (1 << v) for v in range(n)))]
     if (n, k) in _regular_cache:
         return _regular_cache[n, k]
     result: list[Graph] = []
@@ -462,7 +534,7 @@ def connected_regular_graphs(n: int, k: int) -> list[Graph]:
         if found is None:
             return
         if u == n:
-            result.append(Graph(n, tuple(rows)))
+            result.append(Graph._from_valid_rows(n, tuple(rows)))
             return
         missing = k - rows[u].bit_count()
         olds = list(bits(deficient & ~rows[u] & -(2 << u)))

@@ -281,6 +281,8 @@ class FamilyTCertificate(NamedTuple):
 def replay_family_t_certificate(cert: FamilyTCertificate) -> Graph:
     """Rebuild the tree from its trace, validating every step."""
     u, w = cert.base
+    if u == w:
+        raise PreconditionError(f"base edge is a self-loop at {u}")
     nbrs = {u: {w}, w: {u}}
     for v, leg in cert.steps:
         if v not in nbrs:
@@ -294,7 +296,9 @@ def replay_family_t_certificate(cert: FamilyTCertificate) -> Graph:
             nbrs.setdefault(y, set()).add(x)
     if sorted(nbrs) != list(range(cert.n)):
         raise PreconditionError("certificate does not label 0..n-1")
-    return Graph(cert.n, tuple(sum(1 << y for y in nbrs[x]) for x in range(cert.n)))
+    # the ids are 0..n-1 and every edge was added both ways, none a loop
+    rows = tuple(sum(1 << y for y in nbrs[x]) for x in range(cert.n))
+    return Graph._from_valid_rows(cert.n, rows)
 
 
 def _rooted_trees(m: int):

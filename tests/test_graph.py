@@ -156,6 +156,26 @@ def test_graph_validation_errors(n, adj, message):
         Graph(n, adj)
 
 
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (0, [], "graph order must be >= 1, got 0"),
+        (2, [(0, 2)], r"edge \(0,2\) out of range for order 2"),
+        (2, [(-1, 0)], r"edge \(-1,0\) out of range for order 2"),
+        (3, [(0, 1), (1, 1)], "self-loop at vertex 1"),
+    ],
+)
+def test_from_edges_validation_errors(n, edges, message):
+    # from_edges checks each edge itself and builds its rows unchecked
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        Graph.from_edges(n, edges)
+
+
+def test_from_edges_builds_the_rows_graph_checks():
+    g = Graph.from_edges(4, [(0, 1), (2, 1), (3, 0), (1, 0)])
+    assert g == Graph(4, g.adj) and g.adj == (10, 5, 2, 1)
+
+
 def test_family_adjacency_limit_is_checked_before_building():
     # order 46,341 is the largest whose n(n-1)/2-bit estimate fits the limit;
     # stars that large are cheap, since only the centre's row is wide

@@ -1,5 +1,8 @@
+import hashlib
+import importlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -48,21 +51,91 @@ def test_connected_graphs_match_reference_generator_order_eight():
 
 def test_connected_graphs_certify_only_children_that_could_be_isomorphic(monkeypatch):
     # trying every child made 7,815 canonical_form calls up to order 7, and
-    # certifying each child that passed the degree and orbit rules 1,324
-    calls = []
-    canonical = smallgraphs.canonical_form
+    # certifying each child that passed the degree and orbit rules 1,324;
+    # tied children are now matched by _reaches and certified by none
+    calls = {"canonical_form": 0, "_new_in_group": 0, "_reaches": 0}
 
-    def counting(adj, n):
-        calls.append(n)
-        return canonical(adj, n)
+    def counting(name):
+        original = getattr(smallgraphs, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
 
     monkeypatch.setattr(smallgraphs, "_connected_cache", {})
-    monkeypatch.setattr(smallgraphs, "canonical_form", counting)
+    for name in calls:
+        monkeypatch.setattr(smallgraphs, name, counting(name))
     at_once = smallgraphs.connected_graphs(7)
-    assert len(calls) <= 700
+    assert calls["canonical_form"] <= 700
+    assert calls["canonical_form"] == 0
+    assert calls["_new_in_group"] == 949  # the tied children up to order 7
+    assert calls["_reaches"] <= calls["_new_in_group"]
     monkeypatch.setattr(smallgraphs, "_connected_cache", {})
     by_order = [smallgraphs.connected_graphs(n) for n in range(1, 8)]
     assert at_once == by_order[-1]
+
+
+def _search_agrees_with_certificates(g, h):
+    # _reaches from h's root colouring towards g's first path, without the
+    # refinement-key test that are_isomorphic makes first
+    nbrs, colors, _ = smallgraphs._refinement(h.adj, h.n)
+    path, target = smallgraphs._first_path(g.adj, g.n, smallgraphs._refinement(g.adj, g.n)[1])
+    found = smallgraphs._reaches(h.adj, nbrs, h.n, colors, path, target)
+    assert found == (graph_canonical_form(g) == graph_canonical_form(h)), (g.adj, h.adj)
+    assert are_isomorphic(g, h) == found
+    return found
+
+
+def test_isomorphism_search_agrees_with_certificates_up_to_order_five():
+    rng = random.Random(21)
+    for n in range(1, 6):
+        graphs = connected_graphs(n)
+        for g, h in itertools.product(graphs, repeat=2):
+            assert _search_agrees_with_certificates(g, relabeled(h, rng)) == (g == h)
+    assert not are_isomorphic(path(4), path(5))
+
+
+def test_isomorphism_search_agrees_with_certificates_at_order_seven():
+    # every class against a relabeled copy of itself, and every pair of
+    # classes that share a root-refinement key, which _reaches must split
+    rng = random.Random(22)
+    groups = {}
+    for g in connected_graphs(7):
+        assert _search_agrees_with_certificates(g, relabeled(g, rng))
+        groups.setdefault(smallgraphs._refinement(g.adj, 7)[2], []).append(g)
+    pairs = [pair for group in groups.values() for pair in itertools.permutations(group, 2)]
+    assert pairs
+    for g, h in pairs:
+        assert not _search_agrees_with_certificates(g, relabeled(h, rng))
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (8, 3), (9, 4)])
+def test_isomorphism_search_splits_regular_graphs_that_refinement_cannot(n, k):
+    # a regular graph's root refinement is one colour, so every pair below
+    # reaches the search's leaves
+    rng = random.Random(23)
+    graphs = connected_regular_graphs(n, k)
+    for g, h in itertools.product(graphs, repeat=2):
+        assert _search_agrees_with_certificates(g, relabeled(h, rng)) == (g == h)
+
+
+def test_corpus_bench_script_counts_and_digests_its_rows(monkeypatch):
+    # the smallest use of scripts/bench_corpus.py, which records layer-a claims
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    monkeypatch.syspath_prepend(str(scripts))
+    bench_corpus = importlib.import_module("bench_corpus")
+    monkeypatch.setattr(smallgraphs, "_connected_cache", {})
+    monkeypatch.setattr(smallgraphs, "_regular_cache", {})
+    for fn, args in (("connected_graphs", (6,)), ("connected_regular_graphs", (8, 3))):
+        record = bench_corpus.counted(smallgraphs, fn, args)
+        assert set(record) == {"graphs", "calls", "sha256"}
+        assert set(record["calls"]) == set(bench_corpus.COUNTED)
+        graphs = bench_corpus.build(smallgraphs, fn, args)
+        digest = hashlib.sha256(b"".join(repr((g.n, g.adj)).encode() for g in graphs))
+        assert record["graphs"] == len(graphs) and record["sha256"] == digest.hexdigest()
+    assert record["calls"]["canonical_form"] == record["calls"]["_reaches"] == 0
 
 
 def _image(p, mask):

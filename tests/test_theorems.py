@@ -277,6 +277,12 @@ def test_replay_rejects_malformed_certificates(n, steps, message):
         replay_family_t_certificate(FamilyTCertificate(n, (0, 1), steps))
 
 
+def test_replay_rejects_a_loop_as_base_edge():
+    # replay builds its rows unchecked, so it must refuse the loop itself
+    with pytest.raises(PreconditionError, match="self-loop at 0"):
+        replay_family_t_certificate(FamilyTCertificate(1, (0, 0), ()))
+
+
 def test_recognition_rejects_a_large_non_member_quickly():
     # a hub with one leaf, 13 legs of three vertices and a 6-vertex path:
     # order 47, no strong support vertex, and two degree-2 vertices in a row
