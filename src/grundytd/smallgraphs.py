@@ -91,8 +91,10 @@ MAX_REGULAR_ORDER = 11
 # -- canonical form ----------------------------------------------------------
 
 
-def _refine(nbrs: list[list[int]], n: int, colors: list[int]) -> list[int]:
-    # Precondition: every colour class of the input has one degree.  The
+def _refine(nbrs: list[list[int]], n: int, colors: list[int]) -> tuple[list[int], list[int]]:
+    # The stable colouring, and the signatures of the last round: an
+    # isomorphism maps both onto the other graph's, so their multiset is a
+    # key.  Precondition: every colour class of the input has one degree.  The
     # root starts from degree ranks, and individualizing a vertex of a
     # refined colouring keeps it.  Two vertices of a class then have
     # neighbour-colour multisets of equal size, whose sorted tuples compare
@@ -113,7 +115,7 @@ def _refine(nbrs: list[list[int]], n: int, colors: list[int]) -> list[int]:
         remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [remap[s] for s in sigs]
         if len(remap) == n or new == colors:  # a discrete colouring is stable
-            return new
+            return new, sigs
         colors = new
 
 
@@ -176,10 +178,10 @@ def _search(adj, n: int) -> tuple[int, list[list[int]]]:
             branched = list(colors)
             branched[v] = -1  # unique new color; refinement renumbers
             prefix.append(v)
-            search(_refine(nbrs, n, branched), prefix)
+            search(_refine(nbrs, n, branched)[0], prefix)
             prefix.pop()
 
-    search(_root_colors(nbrs, n), [])
+    search(_root_colors(nbrs, n)[0], [])
     return best, autos
 
 
@@ -196,7 +198,7 @@ def _leaf(adj, n: int, colors: list[int]) -> tuple[int, list[int]]:
     return acc, order
 
 
-def _root_colors(nbrs: list[list[int]], n: int) -> list[int]:
+def _root_colors(nbrs: list[list[int]], n: int) -> tuple[list[int], list[int]]:
     # The first refinement pass from one colour ranks vertices by degree.
     degrees = [len(row) for row in nbrs]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
@@ -204,14 +206,11 @@ def _root_colors(nbrs: list[list[int]], n: int) -> list[int]:
 
 
 def _refinement(rows, n: int):
-    """Neighbour lists, root colouring and its key: each vertex's colour with
-    its neighbours' sorted colours, sorted."""
+    """Neighbour lists, root colouring and its key: the sorted signatures of
+    the last refinement round."""
     nbrs = [list(bits(row)) for row in rows]
-    colors = _root_colors(nbrs, n)
-    key = sorted(
-        (c, tuple(sorted(colors[u] for u in nbrs[v]))) for v, c in enumerate(colors)
-    )
-    return nbrs, colors, tuple(key)
+    colors, sigs = _root_colors(nbrs, n)
+    return nbrs, colors, tuple(sorted(sigs))
 
 
 def _first_path(rows, n: int, colors: list[int]) -> tuple[list, int]:
@@ -228,7 +227,7 @@ def _first_path(rows, n: int, colors: list[int]) -> tuple[list, int]:
         path.append((hist, cell))
         colors = list(colors)
         colors[colors.index(cell)] = -1
-        colors = _refine(nbrs, n, colors)
+        colors = _refine(nbrs, n, colors)[0]
 
 
 def _reaches(rows, nbrs, n: int, colors: list[int], path: list, target: int) -> bool:
@@ -248,7 +247,7 @@ def _reaches(rows, nbrs, n: int, colors: list[int], path: list, target: int) -> 
             if c == cell:
                 branched = list(colors)
                 branched[v] = -1
-                if search(depth + 1, _refine(nbrs, n, branched)):
+                if search(depth + 1, _refine(nbrs, n, branched)[0]):
                     return True
         return False
 
@@ -365,8 +364,8 @@ def connected_graphs(n: int) -> list[Graph]:
       the same parent, parents being pairwise non-isomorphic, by a
       neighbourhood in nb's orbit, which the orbit rule skipped: the child
       is new.  Having a tie is thus a property of the class.
-    - Tie: children are grouped by their root refinement, each vertex's
-      colour with its neighbours' sorted colours.  The first of a group is
+    - Tie: children are grouped by their root refinement, the multiset of
+      the signatures of its last round.  The first of a group is
       new and becomes the group's first class, kept as its rows and root
       colouring.  A later child is new iff _reaches matches it with no class
       of its group (see the module docstring); a class's first branch is
@@ -391,6 +390,7 @@ def connected_graphs(n: int) -> list[Graph]:
             # is connected: w must reach each of them
             splits = [(v, _components_without(rows_base, w, v)) for v in range(w)]
             autos = _search(rows_base, w)[1]
+            nbrs_base = [list(bits(row)) for row in rows_base]
             for nb in _neighborhood_representatives(w, autos):
                 d, tie = nb.bit_count(), False
                 for v, comps in splits:
@@ -407,20 +407,26 @@ def connected_graphs(n: int) -> list[Graph]:
                         rows[low.bit_length() - 1] |= 1 << w
                         m ^= low
                     rows = tuple(rows)
-                    if tie and not _new_in_group(rows, n, groups):
-                        continue
+                    if tie:
+                        # the child's neighbour lists: the parent's, w last
+                        nbrs = [r + [w] if (nb >> v) & 1 else r for v, r in enumerate(nbrs_base)]
+                        nbrs.append(list(bits(nb)))
+                        if not _new_in_group(rows, nbrs, n, groups):
+                            continue
                     level.append(Graph._from_valid_rows(n, rows))
         level.sort(key=lambda g: (g.edge_count(), g.adj))
     _connected_cache[n] = level
     return level
 
 
-def _new_in_group(rows: tuple, n: int, groups: dict[int, list]) -> bool:
+def _new_in_group(rows: tuple, nbrs: list[list[int]], n: int, groups: dict[int, list]) -> bool:
     """Whether no class met so far with the same root refinement is
-    isomorphic to rows; if none is, rows joins that group as a new class."""
-    nbrs, colors, key = _refinement(rows, n)
+    isomorphic to rows, given its neighbour lists; if none is, rows joins
+    that group as a new class."""
+    colors, sigs = _root_colors(nbrs, n)
+    sigs.sort()
     # keyed by hash: two keys that share one only cost searches
-    group = groups.setdefault(hash(key), [])
+    group = groups.setdefault(hash(tuple(sigs)), [])
     for member in group:
         if len(member) == 2:  # its path, when first needed
             member.extend(_first_path(member[0], n, member[1]))

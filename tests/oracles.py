@@ -7,6 +7,7 @@ to sweep.
 """
 
 from itertools import combinations, permutations
+from math import factorial
 
 from grundytd.engine import _check_coverable
 from grundytd.errors import ParameterError
@@ -884,3 +885,74 @@ def family_t_reference(n):
                 )
     _family_t_reference_cache[n] = out
     return out
+
+
+# -- mask families up to isomorphism -------------------------------------------
+
+
+def connected_pseudoforest_families(k):
+    """Every family of distinct nonempty masks on the ground set range(k)
+    that covers it, is connected, and whose incidence graph has at most one
+    cycle: at most as many element-mask incidences as nodes."""
+    full = (1 << k) - 1
+    found = []
+
+    def grow(first, chosen, incidences, covered):
+        if covered == full and chosen:
+            part, grown = chosen[0], 0
+            while grown != part:
+                grown = part
+                for m in chosen:
+                    if m & part:
+                        part |= m
+            if part == full:
+                found.append(tuple(chosen))
+        for m in range(first, full + 1):
+            if incidences + m.bit_count() <= k + len(chosen) + 1:
+                chosen.append(m)
+                grow(m + 1, chosen, incidences + m.bit_count(), covered | m)
+                chosen.pop()
+
+    grow(1, [], 0, 0)
+    return found
+
+
+def relabel_family(masks, perm):
+    """The masks with each element i renamed perm[i]."""
+    return [sum(1 << perm[i] for i in bits(m)) for m in masks]
+
+
+def canonical_family(masks, k):
+    """The least sorted relabelling of a set of masks on range(k), over every
+    permutation: two families are isomorphic iff theirs are equal."""
+    return min(tuple(sorted(set(relabel_family(masks, p)))) for p in permutations(range(k)))
+
+
+def family_orbit_count(families, k):
+    """The number of isomorphism classes among families, a set closed under
+    relabelling, by Burnside's lemma: the mean number of families that a
+    permutation fixes, summed over one permutation per cycle type."""
+    total = 0
+    for shape in _partitions(k):
+        perm, start = [], 0
+        for length in shape:
+            perm += [start + (i + 1) % length for i in range(length)]
+            start += length
+        image = relabel_family(range(1 << k), perm)
+        fixed = sum(sorted(map(image.__getitem__, f)) == list(f) for f in families)
+        size = factorial(k)
+        for length in shape:
+            size //= length
+        for length in set(shape):
+            size //= factorial(shape.count(length))
+        total += size * fixed
+    return total // factorial(k)
+
+
+def _partitions(k, largest=None):
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, largest or k), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest

@@ -1,6 +1,8 @@
 """Kernels: the pruned searches against their unpruned originals, on
 families that one part of the universe spans and on families that split
-into parts, and no table left behind in cyclic garbage."""
+into parts; the game's class search against the covered-set search and its
+component codes against brute-force isomorphism; and no table left behind
+in cyclic garbage."""
 
 import gc
 import random
@@ -10,9 +12,10 @@ from operator import or_
 import pytest
 
 import oracles
-from grundytd import bipartition, cycle, engine, path
+from grundytd import Graph, bipartition, cycle, engine, path
 from grundytd.sequences import check_cover_sequence
-from conftest import corpus
+from grundytd.smallgraphs import random_tree
+from conftest import corpus, relabeled
 
 
 def random_family(rng):
@@ -133,10 +136,127 @@ def test_sequence_of_length_finds_exactly_the_lengths_of_all_sequences():
                     assert check_cover_sequence(masks, g.full_mask, seq).complete
 
 
+def random_unicyclic(n, rng):
+    tree = random_tree(n, rng)
+    u, v = rng.choice([(u, v) for u in range(n) for v in range(u) if not (tree.adj[u] >> v) & 1])
+    return Graph.from_edges(n, list(tree.edges()) + [(u, v)])
+
+
+def random_pseudoforest_family(rng):
+    """Random masks on at most 10 elements, with duplicates and singletons,
+    kept once every part's incidence graph has at most one cycle."""
+    while True:
+        width = rng.randint(1, 10)
+        masks = [
+            sum(1 << b for b in rng.sample(range(width), rng.randint(1, min(3, width))))
+            for _ in range(rng.randint(1, 10))
+        ]
+        masks += [rng.choice(masks) for _ in range(rng.randint(0, 2))]
+        universe = (1 << width) - 1
+        masks += [1 << b for b in range(width) if not (reduce(or_, masks) >> b) & 1]
+        rng.shuffle(masks)
+        if engine._pseudoforest(masks, universe):
+            return masks, universe
+
+
+def test_class_search_matches_unpruned_on_small_pseudoforests():
+    # the class search called below its gate: every tree and unicyclic graph
+    # of order up to 8, and random families with duplicate masks
+    compared = 0
+    for n in range(2, 9):
+        for g in corpus(n):
+            if g.edge_count() <= n:
+                masks, universe = g.open_masks(), g.full_mask
+                assert engine._pseudoforest(masks, universe)
+                want = oracles.game_cover_value_unpruned(masks, universe)
+                assert engine._class_game(masks, universe) == want, g
+                compared += 1
+    assert compared == (1 + 1 + 2 + 3 + 6 + 11 + 23) + (0 + 1 + 2 + 5 + 13 + 33 + 89)
+    rng = random.Random(2711)
+    for _ in range(300):
+        masks, universe = random_pseudoforest_family(rng)
+        want = oracles.game_cover_value_unpruned(masks, universe)
+        assert engine._class_game([m & universe for m in masks], universe) == want, masks
+
+
+def test_class_search_matches_covered_search_on_large_sparse_graphs(monkeypatch):
+    # orders 20-24 take the class search; with the gate raised, the same
+    # families take the covered-set search
+    rng = random.Random(2712)
+    graphs = [
+        relabeled(g, rng)
+        for n in range(20, 25)
+        for g in (path(n), cycle(n), random_tree(n, rng), random_unicyclic(n, rng))
+    ]
+    by_classes = []
+    for g in graphs:
+        assert engine._pseudoforest(g.open_masks(), g.full_mask)
+        by_classes.append(engine.game_cover_value(g.open_masks(), g.full_mask))
+    monkeypatch.setattr(engine, "_CLASS_GATE", 10**6)
+    for g, got in zip(graphs, by_classes):
+        assert engine.game_cover_value(g.open_masks(), g.full_mask) == got, g
+
+
+def test_component_codes_match_brute_force_isomorphism():
+    # Every connected pseudoforest family on up to 5 elements: the codes are
+    # equal on families that a transposition or a rotation of the elements
+    # maps onto each other, so on each isomorphism class, and there are as
+    # many codes as classes (Burnside's count), so no two classes share one.
+    labels = {}
+    for k in range(1, 6):
+        families = oracles.connected_pseudoforest_families(k)
+        full = (1 << k) - 1
+        code = {f: engine._component_code(full, f, labels) for f in families}
+        for perm in ([1, 0] + list(range(2, k)), [(i + 1) % k for i in range(k)]):
+            if k > 1:
+                for f in families:
+                    assert code[tuple(sorted(oracles.relabel_family(f, perm)))] == code[f], f
+        assert len(set(code.values())) == oracles.family_orbit_count(families, k)
+    # on 6 elements, random families and relabelled copies against the
+    # least relabelling over all 720 permutations
+    rng = random.Random(2713)
+    sample = []
+    while len(sample) < 80:
+        masks = list({rng.randint(1, 63) for _ in range(rng.randint(2, 9))})
+        if (reduce(or_, masks) == 63 and engine._pseudoforest(masks, 63)
+                and len(engine._parts(masks, 63)) == 1):
+            perm = list(range(6))
+            rng.shuffle(perm)
+            sample += [masks, oracles.relabel_family(masks, perm)]
+    codes = [engine._component_code(63, f, labels) for f in sample]
+    forms = [oracles.canonical_family(f, 6) for f in sample]
+    for i in range(len(sample)):
+        for j in range(i):
+            assert (codes[i] == codes[j]) == (forms[i] == forms[j]), (sample[i], sample[j])
+
+
+def test_class_search_gate_refuses_a_part_with_two_cycles(monkeypatch):
+    # a triangle and a fourth element joined to two of its corners hold two
+    # cycles in one part; 18 singleton masks lift the family above the gate.
+    # A path and an odd cycle side by side hold at most one cycle per part.
+    masks = [0b11, 0b110, 0b101, 0b1001, 0b1010] + [1 << b for b in range(4, 22)]
+    assert not engine._pseudoforest(masks, (1 << 22) - 1)
+    side = [(11 + u, 11 + v) for u, v in cycle(11).edges()]
+    two = Graph.from_edges(22, list(path(11).edges()) + side)
+    assert engine._pseudoforest(two.open_masks(), two.full_mask)
+
+    def refused(masks, universe):
+        raise AssertionError("the class search took a family the gate refuses")
+
+    monkeypatch.setattr(engine, "_class_game", refused)
+    value, line = engine.game_cover_value(masks, (1 << 22) - 1)
+    assert check_cover_sequence(masks, (1 << 22) - 1, line).complete and value == len(line)
+    with pytest.raises(AssertionError, match="gate refuses"):
+        engine.game_cover_value(two.open_masks(), two.full_mask)
+
+
 _C16 = cycle(16)
 _KERNEL_CALLS = {
     "max_cover_sequence": lambda: engine.max_cover_sequence(_C16.open_masks(), _C16.full_mask),
     "game_cover_value": lambda: engine.game_cover_value(_C16.open_masks(), _C16.full_mask),
+    # cycle:22 takes the class search, with its own codes and tables
+    "game_cover_value_by_classes": lambda: engine.game_cover_value(
+        cycle(22).open_masks(), cycle(22).full_mask),
     "sequence_of_length": lambda: engine.sequence_of_length(_C16.open_masks(), _C16.full_mask, [12]),
     "min_cover": lambda: engine.min_cover(_C16.open_masks(), _C16.full_mask),
     "max_minimal_cover": lambda: engine.max_minimal_cover(_C16.open_masks(), _C16.full_mask),

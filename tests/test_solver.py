@@ -364,6 +364,5 @@ def test_game_value_on_paths_and_cycles_follows_closed_formulas():
     _check_gamma_tg_formulas(range(2, 21))
 
 
-@pytest.mark.slow
 def test_game_value_on_paths_and_cycles_follows_closed_formulas_to_the_cap():
     _check_gamma_tg_formulas(range(21, 25))
