@@ -29,7 +29,8 @@ of up to 2^(|A| + |B|).  A move changes only its own part's term of the
 sum, so the smallest index that keeps the optimum is the smallest of the
 parts' next witness indices.  Interleaving the parts' witnesses by their
 next index thus gives the witness that a search of the whole universe would
-rebuild, and every child it looks up was visited by its part's search.
+rebuild.  The largest minimal cover splits the same way (see
+max_minimal_cover).
 
 The fixed-length search serves every wanted length from one table keyed
 by (covered, r), where r counts the moves still to make.  An entry is the
@@ -38,17 +39,56 @@ cover, or -1 if none does, so each witness is read back from the table
 without a second search and is the smallest-index witness.  A state is cut
 once r exceeds its uncovered elements, since every move covers one.
 
-The longest-sequence and game searches prune with exact cut-offs.  Every
-move covers at least one new element and at most as many as the widest mask,
-so from a state with r uncovered elements at most r and at least
-ceil(r / widest) moves remain.  The longest-sequence search stops expanding a
-state once a child reaches r, and its memo values stay exact.  The game
-search is a fail-soft alpha-beta over one table of bounds (lo, hi) per mover,
-seeded with those static bounds; its full-window root search is exact, and
-the principal line is rebuilt with null-window probes.  A child whose stored
-or static bounds decide it against its window is read in the parent's move
-loop, with no call; only the children left open are expanded.  Both
-witnesses are still the smallest index that keeps the optimum at every step.
+Each part's longest sequence is found by a fail-soft bounded test in the
+manner of alpha-beta (Knuth and Moore, "An analysis of alpha-beta pruning",
+Artif. Intell. 6, 1975), over one table keyed by the covered set whose
+entries pack bounds lo <= longest <= hi as lo << shift | hi.  A test of
+"longest >= t" returns a lower bound when it succeeds and an upper bound
+when it fails.  Each child is first decided in the parent's loop by its
+stored or static bounds; only a child left open is tested, and the first
+child that reaches t - 1 ends the loop and is recorded as the state's stop.
+The root is tested at an upper bound B, and each failed test lowers B to
+its result, 1 + the largest of the children's upper bounds, until a test
+succeeds.  The witness is then read back along the stops, each played by
+the first index that reaches it.  The search is exact:
+
+  * the static bounds hold: every move covers at least one new element,
+    and a coverable nonempty residual always has a move, so with r
+    elements uncovered 1 <= longest <= r;
+  * a legal sequence never plays two masks with the same restriction, so
+    the number of distinct masks bounds the length, and the first move
+    covers its whole mask, so the length is at most 1 + |part| less the
+    narrowest mask's size; B starts at the smaller of the two;
+  * a success is witnessed by a chain of moves, and a failure is the
+    maximum of 1 + each child's upper bound, so every stored entry is a
+    true bound;
+  * B only falls and every probe ends, so the first probe that succeeds
+    meets the optimum;
+  * take a state on the witness with optimum L >= 2.  Its parent's test
+    stopped at it on a lower bound of L, and only the state's own
+    successful test records a lower bound above 1.  Lower bounds only
+    rise and none exceeds L, so its last successful test set L.  That
+    test's stop reached L - 1, which no child exceeds, and every child
+    before it was bounded below t - 1 <= L - 1.  So the stop is the child
+    of the smallest index that keeps the optimum: the witness an exact
+    table would give.  A state with optimum 1 takes the first index that
+    covers the rest.
+
+Probes near the optimum settle most children by their bounds, so few
+states are stored: 43 for the closed neighbourhoods of the benchmark's
+random tree of order 22 at seed 0, where a table of exact values holds
+13,417.
+
+The game search prunes with exact cut-offs too.  Every move covers at least
+one new element and at most as many as the widest mask, so from a state
+with r uncovered elements at most r and at least ceil(r / widest) moves
+remain.  It is a fail-soft alpha-beta over one table of bounds (lo, hi) per
+mover, seeded with those static bounds; its full-window root search is
+exact, and the principal line is rebuilt with null-window probes.  A child
+whose stored or static bounds decide it against its window is read in the
+parent's move loop, with no call; only the children left open are
+expanded.  The line is the smallest index that keeps the optimum at every
+step.
 
 On a large pseudoforest family the game search keys a position by the
 isomorphism classes of its residual components instead of its covered set.
@@ -134,52 +174,84 @@ def _parts(masks, universe):
 
 
 def _longest(masks, universe):
-    """The pruned memo search over one part, where the masks of every other
-    part are empty: (length, witness)."""
-    memo: dict[int, int] = {universe: 0}  # a covered universe needs no move
+    """The bounded search over one nonempty part, where the masks of every
+    other part are empty: (length, witness)."""
+    n = universe.bit_count()
+    # covered set -> bounds lo <= longest <= hi, packed as lo << shift | hi
+    shift = n.bit_length()
+    low = (1 << shift) - 1
+    table: dict[int, int] = {}
+    # covered set -> the child at which its last successful test stopped
+    stop: dict[int, int] = {}
 
-    def longest(covered: int) -> int:
+    def expand(covered: int, t: int, lo: int, hi: int) -> int:
+        """Fail-soft test of longest(covered) >= t, where lo < t <= hi: a
+        result >= t bounds it from below, one below t from above.  Each
+        child is first decided by its stored or static bounds; only a child
+        left open is called."""
         uncovered = universe & ~covered
-        # every move covers at least one new element, so no state can beat
-        # this bound and the first child reaching it ends the loop
-        bound = uncovered.bit_count()
+        need = t - 1  # what a child must reach
         best = 0
         for m in masks:
             if m & uncovered:
                 child = covered | m
-                r = memo.get(child)
-                if r is None:
-                    r = longest(child)
-                if r >= best:
-                    best = r + 1
-                    if best == bound:
+                entry = table.get(child)
+                if entry is None:
+                    r = (uncovered & ~m).bit_count()
+                    if r >= need:
+                        if need == 1:  # an element is left, so a move too
+                            best = 2
+                            break
+                        r = expand(child, need, 1, r)
+                        if r >= need:
+                            best = 1 + r
+                            break
+                else:
+                    clo, r = entry >> shift, entry & low
+                    if clo >= need:
+                        best = 1 + clo
                         break
-        memo[covered] = best
+                    if r >= need:
+                        r = expand(child, need, clo, r)
+                        if r >= need:
+                            best = 1 + r
+                            break
+                if r >= best:
+                    best = 1 + r
+        if best >= t:
+            table[covered] = best << shift | hi
+            stop[covered] = child
+        else:
+            table[covered] = lo << shift | best
         return best
 
+    distinct = set(masks)
+    distinct.discard(0)
+    length = min(n + 1 - min(map(int.bit_count, distinct)), len(distinct))
     try:
-        total = longest(0)
+        # probe down from the upper bound; a failed test returns a lower one
+        while length > 1:
+            r = expand(0, length, 1, length)
+            if r >= length:
+                break
+            length = r
     finally:
-        longest = None  # the closure refers to itself; free the table now
+        expand = None  # the closure refers to itself; free the tables on return
 
-    # Walk the memo table back down, taking the smallest index that still
-    # achieves the optimum at each step.  The loop above stopped no earlier
-    # than that index, so every child looked up here was visited.
+    # play each stop by the first index that reaches it; with one move left,
+    # the first index that covers the rest
     seq: list[int] = []
     covered = 0
-    need = total
-    while need:
+    for left in range(length, 0, -1):
+        goal = stop.get(covered) if left > 1 else universe
         for i, m in enumerate(masks):
-            if m & ~covered:
-                child = covered | m
-                if memo[child] == need - 1:
-                    seq.append(i)
-                    covered = child
-                    need -= 1
-                    break
+            if covered | m == goal:
+                break
         else:
             raise InvariantViolation("witness reconstruction failed")
-    return total, seq
+        seq.append(i)
+        covered = goal
+    return length, seq
 
 
 def max_cover_sequence(masks, universe):
@@ -200,9 +272,12 @@ def max_cover_sequence(masks, universe):
     """
     masks = [m & universe for m in masks]
     _check_coverable(masks, universe)
+    parts = _parts(masks, universe)
+    if len(parts) == 1:
+        return _longest(masks, universe)
     total = 0
     walks = []
-    for part in _parts(masks, universe):
+    for part in parts:
         length, walk = _longest([m & part for m in masks], part)
         total += length
         walks.append(walk)
@@ -686,15 +761,38 @@ def min_cover(masks, universe):
 
 def max_minimal_cover(masks, universe):
     """Largest minimal cover: every chosen mask keeps a private element.
+    Returns (size, sorted mask indices).
 
-    Include/exclude search over indices in order.  A chosen mask's private
-    set only shrinks as more masks join, so a branch dies as soon as any
-    private set empties.  Returns (size, sorted mask indices).
+    Each part of the universe that no mask bridges is searched alone.  A
+    mask's private elements lie in its own part, so a minimal cover is a
+    union of minimal covers of the parts, and a largest one is a union of
+    the parts' largest.  The include-first search returns the largest
+    minimal cover whose indicator vector, index 0 first, is greatest; over
+    a product of parts that is the union of the parts' own, so the witness
+    is the one a search of the whole universe returns.
     """
     masks = [m & universe for m in masks]
     _check_coverable(masks, universe)
     if universe == 0:
         return 0, []
+    parts = _parts(masks, universe)
+    if len(parts) == 1:
+        return _max_minimal(masks, universe)
+    total = 0
+    chosen: list[int] = []
+    for part in parts:
+        inside = [i for i, m in enumerate(masks) if m & part]
+        size, sel = _max_minimal([masks[i] for i in inside], part)
+        total += size
+        chosen += [inside[j] for j in sel]
+    return total, sorted(chosen)
+
+
+def _max_minimal(masks, universe):
+    """The include/exclude search over indices in order, for masks that lie
+    in the universe and cover it.  A chosen mask's private set only shrinks
+    as more masks join, so a branch dies as soon as any private set
+    empties."""
     m_count = len(masks)
 
     suffix = [0] * (m_count + 1)

@@ -190,13 +190,20 @@ def total_dominating_sequence_of_length(g: Graph, length: int, cap: int | None =
 def interpolation_witnesses(g: Graph, rep: InvariantReport, cap: int | None = None):
     """One total dominating sequence for every achievable length.
 
-    rep is a report on g holding gamma_t and gamma_grt.  One search finds a
-    witness for every length between the two inclusive, and each witness is
-    certified.  A gap would contradict a proven interpolation property, so
-    a missing length raises InvariantViolation.
+    rep is a report on g holding gamma_t and gamma_grt.  The report's
+    gamma_grt witness serves the top length: along a longest sequence, with
+    r moves still to make, a move after which exactly r - 1 more complete
+    the cover is one whose child has longest r - 1, so the fixed-length
+    search would take the same smallest indices.  It is certified again
+    here.  One search finds a witness for every shorter length down to
+    gamma_t, and each is certified.  A gap would contradict a proven
+    interpolation property, so a missing length raises InvariantViolation.
     """
     lo, hi = rep.value("gamma_t"), rep.value("gamma_grt")
-    out = _sequences_of_lengths(g, range(lo, hi + 1), cap)
+    out = _sequences_of_lengths(g, range(lo, hi), cap)
+    top = rep.witness("gamma_grt")
+    certify(is_total_dominating_sequence(g, top) and len(top) == hi, "gamma_grt")
+    out[hi] = top
     for length in range(lo, hi + 1):
         if length not in out:
             raise InvariantViolation(

@@ -8,9 +8,10 @@ to sweep.
 
 from itertools import combinations, permutations
 from math import factorial
+from operator import itemgetter
 
-from grundytd.engine import _check_coverable
-from grundytd.errors import ParameterError
+from grundytd.engine import _check_coverable, _parts
+from grundytd.errors import InvariantViolation, ParameterError
 from grundytd.graph import MAX_ORDER, Graph, bits
 from grundytd.smallgraphs import canonical_form
 from grundytd.theorems import FamilyTCertificate
@@ -804,6 +805,96 @@ def game_cover_value_unpruned(masks, universe):
         else:
             raise RuntimeError("principal line reconstruction failed")
     return total, trace
+
+
+# A verbatim copy of engine.max_cover_sequence and its part search before the
+# exact memo search gave way to probes over bounds.  It stores the exact
+# longest of every state it expands and walks that table back down, so the
+# bounded search must return exactly its values and witnesses.
+
+def _longest_memo(masks, universe):
+    """The pruned memo search over one part, where the masks of every other
+    part are empty: (length, witness)."""
+    memo: dict[int, int] = {universe: 0}  # a covered universe needs no move
+
+    def longest(covered: int) -> int:
+        uncovered = universe & ~covered
+        # every move covers at least one new element, so no state can beat
+        # this bound and the first child reaching it ends the loop
+        bound = uncovered.bit_count()
+        best = 0
+        for m in masks:
+            if m & uncovered:
+                child = covered | m
+                r = memo.get(child)
+                if r is None:
+                    r = longest(child)
+                if r >= best:
+                    best = r + 1
+                    if best == bound:
+                        break
+        memo[covered] = best
+        return best
+
+    try:
+        total = longest(0)
+    finally:
+        longest = None  # the closure refers to itself; free the table now
+
+    # Walk the memo table back down, taking the smallest index that still
+    # achieves the optimum at each step.  The loop above stopped no earlier
+    # than that index, so every child looked up here was visited.
+    seq: list[int] = []
+    covered = 0
+    need = total
+    while need:
+        for i, m in enumerate(masks):
+            if m & ~covered:
+                child = covered | m
+                if memo[child] == need - 1:
+                    seq.append(i)
+                    covered = child
+                    need -= 1
+                    break
+        else:
+            raise InvariantViolation("witness reconstruction failed")
+    return total, seq
+
+
+def max_cover_sequence_memo(masks, universe):
+    """Longest legal cover sequence.
+
+    Returns (length, sequence of mask indices).  Requires the masks to
+    jointly cover the universe, which guarantees every maximal legal
+    sequence is complete (covers everything): whenever some element is
+    uncovered, any mask containing it is a legal move.
+
+    Each part of the universe that no mask bridges is searched alone, with
+    its own masks and its own table; the length is the sum of the parts'
+    lengths.  The witness interleaves the parts' own witnesses, taking at
+    each step the part whose next index is smallest.  A move changes only
+    its own part's remaining optimum, so that index is the smallest that
+    keeps the whole optimum: the witness is the one a search of the whole
+    universe would rebuild.
+    """
+    masks = [m & universe for m in masks]
+    _check_coverable(masks, universe)
+    total = 0
+    walks = []
+    for part in _parts(masks, universe):
+        length, walk = _longest_memo([m & part for m in masks], part)
+        total += length
+        walks.append(walk)
+
+    # merge by the next index until a single part has moves left
+    seq: list[int] = []
+    while len(walks) > 1:
+        walk = min(walks, key=itemgetter(0))
+        seq.append(walk.pop(0))
+        walks = [w for w in walks if w]
+    for walk in walks:
+        seq += walk
+    return total, seq
 
 
 def graph_to_graph6_bitwise(g):

@@ -1,18 +1,22 @@
 """Kernels: the pruned searches against their unpruned originals, on
 families that one part of the universe spans and on families that split
-into parts; the game's class search against the covered-set search and its
-component codes against brute-force isomorphism; and no table left behind
-in cyclic garbage."""
+into parts; the bounded longest-sequence search against the exact memo
+search it replaced; the largest minimal cover by parts against one search
+of the whole universe; the game's class search against the covered-set
+search and its component codes against brute-force isomorphism; and no
+table left behind in cyclic garbage."""
 
 import gc
+import importlib
 import random
 from functools import reduce
 from operator import or_
+from pathlib import Path
 
 import pytest
 
 import oracles
-from grundytd import Graph, bipartition, cycle, engine, path
+from grundytd import Graph, bipartition, cycle, engine, path, random_hypergraph
 from grundytd.sequences import check_cover_sequence
 from grundytd.smallgraphs import random_tree
 from conftest import corpus, relabeled
@@ -121,6 +125,88 @@ def test_longest_sequence_on_split_random_families_matches_unpruned():
         assert len(engine._parts([m & universe for m in masks], universe)) >= 2
         want = oracles.max_cover_sequence_unpruned(masks, universe)
         assert engine.max_cover_sequence(masks, universe) == want, masks
+
+
+def _matches_memo_search(masks, universe):
+    want = oracles.max_cover_sequence_memo(masks, universe)
+    assert engine.max_cover_sequence(masks, universe) == want, (masks, universe)
+
+
+def test_bounded_longest_matches_memo_search_on_small_families():
+    # every connected graph of order up to 7 with open and closed masks,
+    # random families with duplicate and empty masks, split families and
+    # the masks of random hypergraphs' covering and transversal sequences
+    for n in range(2, 8):
+        for g in corpus(n):
+            _matches_memo_search(g.open_masks(), g.full_mask)
+            _matches_memo_search(g.closed_masks(), g.full_mask)
+    rng = random.Random(2975)
+    compared = 0
+    while compared < 400:
+        masks, universe = random_family(rng)
+        if rng.random() < 0.3:
+            masks.insert(rng.randint(0, len(masks)), 0)
+        if reduce(or_, masks) == universe:
+            _matches_memo_search(masks, universe)
+            compared += 1
+    for _ in range(300):
+        _matches_memo_search(*split_family(rng))
+    for _ in range(200):
+        h = random_hypergraph(rng)
+        _matches_memo_search(list(h.edges), h.full_mask)
+        _matches_memo_search(h.incidence_masks(), (1 << len(h.edges)) - 1)
+
+
+def test_bounded_longest_matches_memo_search_on_large_graphs(monkeypatch):
+    # the compute-sparse22 graphs in the numberings of seeds 0-3, and random
+    # graphs G(n, p) of order 16-24, whose parts run to 24 elements
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    graphs = [
+        Graph.from_edges(g.n, g.edges)
+        for seed in range(4)
+        for g in workloads.make_workload("compute-sparse22", seed=seed).graphs
+    ]
+    rng = random.Random(1624)
+    for n in range(16, 25):
+        for p in (0.12, 0.2, 0.35):
+            g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+            if not g.has_isolated_vertex():
+                graphs.append(g)
+    assert len(graphs) > 30
+    for g in graphs:
+        _matches_memo_search(g.open_masks(), g.full_mask)
+        _matches_memo_search(g.closed_masks(), g.full_mask)
+
+
+def test_minimal_cover_by_parts_matches_the_single_search():
+    # the union of the parts' largest minimal covers is the cover that the
+    # include-first search of the whole universe returns
+    families = [
+        (g.open_masks(), g.full_mask)
+        for n in range(2, 8) for g in corpus(n) if bipartition(g) is not None
+    ]
+    rng = random.Random(1727)
+    families += [split_family(rng) for _ in range(300)]
+    for masks, universe in families:
+        masks = [m & universe for m in masks]
+        want = engine._max_minimal(masks, universe)
+        assert engine.max_minimal_cover(masks, universe) == want, masks
+
+
+@pytest.mark.parametrize(
+    "orders", [range(2, 8), pytest.param(range(8, 9), marks=pytest.mark.slow)],
+    ids=["upto7", "order8"],
+)
+def test_longest_witness_is_the_fixed_length_witness_at_the_top(orders):
+    # at the longest length L, a move after which exactly L - 1 more moves
+    # complete the cover is one whose child has longest L - 1, so both
+    # searches take the same smallest indices; interpolation relies on it
+    for n in orders:
+        for g in corpus(n):
+            for masks in (g.open_masks(), g.closed_masks()):
+                length, seq = engine.max_cover_sequence(masks, g.full_mask)
+                assert engine.sequence_of_length(masks, g.full_mask, [length]) == {length: seq}, g
 
 
 def test_sequence_of_length_finds_exactly_the_lengths_of_all_sequences():

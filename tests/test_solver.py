@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import importlib
 import json
 import os
 import platform
@@ -338,6 +340,31 @@ def test_matchings_match_unpruned_oracle_on_random_graphs():
 def test_strong_matching_is_independence_in_square_of_line_graph(connected_upto_6):
     for g in connected_upto_6:
         assert strong_matching_number(g)[0] == oracles.line_graph_square_independence(g)
+
+
+def test_invariant_bench_script_times_and_digests_a_round(monkeypatch):
+    # the smallest use of scripts/bench_invariants.py, which records layer-b
+    # claims: a round times each invariant per set and the trees sweep, and
+    # its digest depends only on the values and witnesses
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+    bench = importlib.import_module("bench_invariants")
+    names = [name for name, _ in bench.inputs()]
+    assert len(names) == 5 and names[-1] == "trees:12:200:seed3"
+    monkeypatch.setattr(bench, "TREES", ("trees:6:4", 1))
+    from grundytd import cli
+
+    same = [("p5", [path(5)]), ("c", [cycle(4), cycle(5)])]
+    other = [("p5", [path(5)]), ("c", [cycle(4), cycle(6)])]
+    timed = {f"{name}/{key}" for name in ("p5", "c") for key in solver.INVARIANT_KEYS}
+    digests = []
+    for sets in (same, same, other):
+        digest = hashlib.sha256()
+        times = bench.run_round(sets, solver, cli, digest)
+        assert set(times) == timed | {"sweep trees:6:4 --seed 1 --suite trees"}
+        assert all(t >= 0 for t in times.values())
+        digests.append(digest.hexdigest())
+    assert digests[0] == digests[1] != digests[2]
 
 
 # Game total domination on paths and cycles (Dorbec and Henning, "Game total

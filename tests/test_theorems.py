@@ -574,3 +574,13 @@ def test_grundy_domination_exceeds_its_total_version_arbitrarily(k):
     assert len(subsets) == math.comb(2 * k - 1, k) == [10, 35, 126, 462][k - 3]
     if k == 3:
         assert grundy_domination_number(g, cap=g.n)[0] == 10
+
+
+@pytest.mark.slow
+def test_grundy_domination_of_gk4_is_its_closed_subset_sequence():
+    # order 42, above the default cap: the C(7, 4) k-subsets in any order
+    # are a complete closed sequence, and no closed sequence is longer
+    g = subset_bipartite(4)
+    value, seq = grundy_domination_number(g, cap=g.n)
+    assert value == math.comb(7, 4) == 35
+    assert check_cover_sequence(g.closed_masks(), g.full_mask, seq).complete
