@@ -350,7 +350,6 @@ def cmd_generate(args) -> int:
         raise GrundyTDError(f"generate writes graphs, but {what!r} gives {kind}")
     if args.what == "familyT" and args.n % 3 != 2:
         print(f"no members of order {args.n}: orders are 2 mod 3 (2, 5, 8, ...)", file=sys.stderr)
-        return 0
     graphs = itertools.islice(graphs, args.limit)
     _emit_graphs(graphs, args.format or "g6", args.json, what.startswith("familyT:"))
     return 0

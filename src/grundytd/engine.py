@@ -79,45 +79,49 @@ states are stored: 43 for the closed neighbourhoods of the benchmark's
 random tree of order 22 at seed 0, where a table of exact values holds
 13,417.
 
-The game search prunes with exact cut-offs too.  Every move covers at least
-one new element and at most as many as the widest mask, so from a state
-with r uncovered elements at most r and at least ceil(r / widest) moves
-remain.  It is a fail-soft alpha-beta over one table of bounds (lo, hi) per
-mover, seeded with those static bounds; its full-window root search is
-exact, and the principal line is rebuilt with null-window probes.  A child
-whose stored or static bounds decide it against its window is read in the
-parent's move loop, with no call; only the children left open are
-expanded.  The line is the smallest index that keeps the optimum at every
-step.
+The game value is one fail-soft alpha-beta over one pair of bounds tables,
+one per mover, whatever keys its positions.  Every move covers at least one
+new element and at most as many as the widest mask, so from a position with
+r uncovered elements at most r and at least ceil(r / widest) moves remain.
+Those static bounds seed both tables, so the full-window root search is
+exact.  A child whose stored or static bounds decide it against its window
+is read in the parent's move loop, with no call; only the children left
+open are expanded.  One rebuild then walks the masks in index order at
+every step and plays the first whose child keeps the value, as a
+null-window probe finds, so the line is the smallest index that keeps the
+optimum at every step.  A keying supplies only the move loop and the key
+after a played mask.  By default the key is the covered set c: the move
+loop runs over the masks, and playing m gives c | m.
 
-On a large pseudoforest family the game search keys a position by the
-isomorphism classes of its residual components instead of its covered set.
-From a position with uncovered set U the game depends only on R(U), the
-distinct nonempty m & U: two masks with the same restriction lead to the
-same child, and playing e leaves R(U - e) = {r - e : r in R(U)} less the
-empty set.  So the value is an isomorphism invariant of R(U).  R(U) is the
-disjoint union of its components and every move lies inside one of them, so
-the multiset of the components' classes fixes the value, and a move replaces
-one class by the classes of the pieces of C - e.  The static bounds read
-only the element count and the widest mask, so isomorphic positions share a
-table entry.  The incidence graph joins each element to each distinct
-nonempty mask that holds it; the family is a pseudoforest when that graph
-has at most one cycle in every part, as for the open neighbourhoods of every
-forest and every unicyclic graph.  The test runs once per call, because
-every move keeps the property: removing elements keeps a pseudoforest, and
-two masks whose restrictions become equal share their remaining elements,
-so merging them joins two nodes at distance two, which loses at least as
-many links as nodes.  Each component gets a complete code, element and mask
-nodes told apart: leaves are peeled in rounds and each rooted subtree is
-interned to a small int (Aho, Hopcroft and Ullman, 1974); a tree's code is
-its centre's label or the pair of its two centres' labels, a ring's the
-least rotation, either way round, of its ring's labels.  A key is the sum of
-count_c << (w * c) over the classes c, with 2**w above the element count,
-and each class stores, once, the key change and the element count of each
-of its distinct moves, so a child's key is one addition.  The principal
-line is still rebuilt over real covered sets, each child looked up by its
-class key.  The codes cost more than they save on small inputs, so only
-families of at least _CLASS_GATE elements take this search.
+On a large pseudoforest family a position is keyed instead by the
+isomorphism classes of its residual components.  From a position with
+uncovered set U the game depends only on R(U), the distinct nonempty m & U:
+two masks with the same restriction lead to the same child, and playing e
+leaves R(U - e) = {r - e : r in R(U)} less the empty set.  So the value is
+an isomorphism invariant of R(U).  R(U) is the disjoint union of its
+components and every move lies inside one of them, so the multiset of the
+components' classes fixes the value, and a move replaces one class by the
+classes of the pieces of C - e.  The static bounds read only the element
+count and the widest mask, so isomorphic positions share a table entry.
+The incidence graph joins each element to each distinct nonempty mask that
+holds it; the family is a pseudoforest when that graph has at most one
+cycle in every part, as for the open neighbourhoods of every forest and
+every unicyclic graph.  The test runs once per call, because every move
+keeps the property: removing elements keeps a pseudoforest, and two masks
+whose restrictions become equal share their remaining elements, so merging
+them joins two nodes at distance two, which loses at least as many links as
+nodes.  Each component gets a complete code, element and mask nodes told
+apart: leaves are peeled in rounds and each rooted subtree is interned to a
+small int (Aho, Hopcroft and Ullman, 1974); a tree's code is its centre's
+label or the pair of its two centres' labels, a ring's the least rotation,
+either way round, of its ring's labels.  A key is the sum of
+count_c << (w * c) over the classes c, with 2**w above the element count.
+Each class stores, once, the key change and the element count of each of
+its distinct moves, so the move loop walks the classes present in a key and
+a child's key is one addition.  Playing a mask on the line replaces the
+class of the component it hits by the classes of its pieces.  The codes
+cost more than they save on small inputs, so only families of at least
+_CLASS_GATE elements are keyed this way.
 
 The matching search adds edges in a fixed order and carries a mask of
 blocked vertices that no valid extension can use.  After an edge uv, a
@@ -138,7 +142,7 @@ table is freed at once rather than at the next cyclic collection.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from heapq import merge
 
 from .errors import InvariantViolation
 from .graph import bits
@@ -281,16 +285,8 @@ def max_cover_sequence(masks, universe):
         length, walk = _longest([m & part for m in masks], part)
         total += length
         walks.append(walk)
-
-    # merge by the next index until a single part has moves left
-    seq: list[int] = []
-    while len(walks) > 1:
-        walk = min(walks, key=itemgetter(0))
-        seq.append(walk.pop(0))
-        walks = [w for w in walks if w]
-    for walk in walks:
-        seq += walk
-    return total, seq
+    # the parts' indices are distinct, so merging takes the smallest next one
+    return total, list(merge(*walks))
 
 
 def sequence_of_length(masks, universe, lengths):
@@ -348,35 +344,40 @@ def game_cover_value(masks, universe):
     complete in as few moves as possible, the maximizer in as many.
     Returns (value, principal line of mask indices).
 
-    A pseudoforest family of at least _CLASS_GATE elements is searched by
-    _class_game, whose tables key a position by the classes of its residual
-    components (see the module docstring); every other family by its covered
-    set.  Both return the same value and line.  Below the gate the component
-    codes cost more than the states they save; the table at _CLASS_GATE
-    gives the crossover.
+    One alpha-beta, search, and one rebuild of the principal line serve both
+    keyings of a position (see the module docstring).  A keying supplies its
+    move loop, expand, and the key after m & left is played from the
+    position at with uncovered set left: at | m for a covered set,
+    play(at, left, m) for a class key.  A pseudoforest family of at least
+    _CLASS_GATE elements is keyed by the classes of its residual components,
+    every other family by its covered set; both give the same value and
+    line.  Below the gate the component codes cost more than the states
+    they save; the table at _CLASS_GATE gives the crossover.
     """
     masks = [m & universe for m in masks]
     _check_coverable(masks, universe)
     if universe == 0:
         return 0, []
-    if universe.bit_count() >= _CLASS_GATE and _pseudoforest(masks, universe):
-        return _class_game(masks, universe)
-    widest = max(m.bit_count() for m in masks)
-    top = universe.bit_count() + 1  # above every value
+    widest = max(map(int.bit_count, masks))
+    rem = universe.bit_count()
+    top = rem + 1  # above every value
 
-    # One table per mover: covered set -> bounds lo <= value <= hi, packed
-    # as lo << shift | hi (one int per state costs less than a tuple).
-    shift = top.bit_length()
+    # One table per mover: key -> bounds lo <= value <= hi, packed as
+    # lo << shift | hi (one int per state costs less than a tuple).
+    shift = top.bit_length()  # also a count's width in a class key
     low = (1 << shift) - 1
     bounds_min: dict[int, int] = {}
     bounds_max: dict[int, int] = {}
+    at, moves, play = 0, None, None  # covered sets: the key after m is at | m
+    if rem >= _CLASS_GATE and _pseudoforest(masks, universe):
+        at, moves, moves_of, play = _class_keys(masks, universe, shift)
 
-    def search(covered: int, minimizer: bool, alpha: int, beta: int) -> int:
-        """Fail-soft alpha-beta: a result <= alpha bounds the value from
-        above, a result >= beta from below, and one in between is exact."""
-        entry = (bounds_min if minimizer else bounds_max).get(covered)
+    def search(at: int, rem: int, minimizer: bool, alpha: int, beta: int) -> int:
+        """Fail-soft alpha-beta on the position at with rem elements
+        uncovered: a result <= alpha bounds the value from above, a result
+        >= beta from below, and one in between is exact."""
+        entry = (bounds_min if minimizer else bounds_max).get(at)
         if entry is None:
-            rem = (universe & ~covered).bit_count()
             lo, hi = -(-rem // widest), rem
         else:
             lo, hi = entry >> shift, entry & low
@@ -386,23 +387,30 @@ def game_cover_value(masks, universe):
             return hi
         a = alpha if alpha > lo else lo
         b = beta if beta < hi else hi
-        return expand(covered, minimizer, a, b, lo, hi)
+        if moves is None:  # a covered set tells its own count
+            return expand(at, minimizer, a, b, lo, hi)
+        return expand(at, rem, minimizer, a, b, lo, hi)
 
-    def expand(covered: int, minimizer: bool, a: int, b: int, lo: int, hi: int) -> int:
-        """search() on a state whose bounds lo <= a < b <= hi leave it open.
-        Each child is first tested as search() would test it, against its
-        own bounds and window; only a child that stays open is called."""
-        uncovered = universe & ~covered
-        if minimizer:
-            best = top
-            ca, cb = a - 1, b - 1  # each child's window; cb falls as replies improve
+    # expand is search() on a position whose bounds lo <= a < b <= hi leave
+    # it open.  Each child is first tested as search() would test it, against
+    # its own bounds and window; only a child that stays open is called.
+    # The child's window (ca, cb) narrows as replies improve.
+    if moves is None:
+
+        def expand(covered: int, minimizer: bool, a: int, b: int, lo: int, hi: int) -> int:
+            uncovered = universe & ~covered
+            if minimizer:
+                replies, table, best = bounds_max, bounds_min, top
+            else:
+                replies, table, best = bounds_min, bounds_max, 0
+            ca, cb = a - 1, b - 1
             for m in masks:
                 if m & uncovered:
                     child = covered | m
-                    entry = bounds_max.get(child)
+                    entry = replies.get(child)
                     if entry is None:
-                        rem = (uncovered & ~m).bit_count()
-                        clo, chi = -(-rem // widest), rem
+                        crem = (uncovered & ~m).bit_count()
+                        clo, chi = -(-crem // widest), crem
                     else:
                         clo, chi = entry >> shift, entry & low
                     if clo == chi or clo >= cb:
@@ -410,72 +418,95 @@ def game_cover_value(masks, universe):
                     elif chi <= ca:
                         r = 1 + chi
                     else:
-                        r = 1 + expand(child, False, ca if ca > clo else clo,
+                        r = 1 + expand(child, not minimizer, ca if ca > clo else clo,
                                        cb if cb < chi else chi, clo, chi)
-                    if r < best:
-                        best = r
-                        if r <= a:
-                            break
-                        if r <= cb:
-                            cb = r - 1
-            table = bounds_min
-        else:
-            best = 0
-            ca, cb = a - 1, b - 1  # ca rises as replies improve
-            for m in masks:
-                if m & uncovered:
-                    child = covered | m
-                    entry = bounds_min.get(child)
-                    if entry is None:
-                        rem = (uncovered & ~m).bit_count()
-                        clo, chi = -(-rem // widest), rem
-                    else:
-                        clo, chi = entry >> shift, entry & low
-                    if clo == chi or clo >= cb:
-                        r = 1 + clo
-                    elif chi <= ca:
-                        r = 1 + chi
-                    else:
-                        r = 1 + expand(child, True, ca if ca > clo else clo,
-                                       cb if cb < chi else chi, clo, chi)
-                    if r > best:
+                    if minimizer:
+                        if r < best:
+                            best = r
+                            if r <= a:
+                                break
+                            if r <= cb:
+                                cb = r - 1
+                    elif r > best:
                         best = r
                         if r >= b:
                             break
                         if r > ca + 1:
                             ca = r - 1
-            table = bounds_max
-        if best <= a:
-            table[covered] = lo << shift | best
-        elif best >= b:
-            table[covered] = best << shift | hi
-        else:
-            table[covered] = best << shift | best
-        return best
+            table[covered] = (lo if best <= a else best) << shift | (hi if best >= b else best)
+            return best
+    else:
+
+        def expand(at: int, rem: int, minimizer: bool, a: int, b: int, lo: int, hi: int) -> int:
+            if minimizer:
+                replies, table, best = bounds_max, bounds_min, top
+            else:
+                replies, table, best = bounds_min, bounds_max, 0
+            ca, cb = a - 1, b - 1
+            rest = at
+            while rest:
+                c = ((rest & -rest).bit_length() - 1) // shift
+                rest &= ~(low << shift * c)
+                for delta, gain in moves[c] or moves_of(c):
+                    child = at + delta
+                    crem = rem - gain
+                    entry = replies.get(child)
+                    if entry is None:
+                        clo, chi = -(-crem // widest), crem
+                    else:
+                        clo, chi = entry >> shift, entry & low
+                    if clo == chi or clo >= cb:
+                        r = 1 + clo
+                    elif chi <= ca:
+                        r = 1 + chi
+                    else:
+                        r = 1 + expand(child, crem, not minimizer, ca if ca > clo else clo,
+                                       cb if cb < chi else chi, clo, chi)
+                    if minimizer:
+                        if r < best:
+                            best = r
+                            if r <= a:
+                                break
+                            if r <= cb:
+                                cb = r - 1
+                    elif r > best:
+                        best = r
+                        if r >= b:
+                            break
+                        if r > ca + 1:
+                            ca = r - 1
+                else:
+                    continue
+                break
+            table[at] = (lo if best <= a else best) << shift | (hi if best >= b else best)
+            return best
 
     try:
         # The static bounds narrow the full window at every node, so the
         # root search always comes back exact.
-        total = search(0, True, -1, top)
+        total = search(at, rem, True, -1, top)
 
         # Rebuild the principal line with null-window probes, taking the
         # smallest index whose child keeps the value at each step (a covered
         # universe has static bounds 0 <= value <= 0).
         trace: list[int] = []
-        covered = 0
+        left = universe
         minimizer = True
         need = total
-        while covered != universe:
+        while left:
             for i, m in enumerate(masks):
-                if m & ~covered:
-                    child = covered | m
+                m &= left
+                if m:
+                    child = at | m if play is None else play(at, left, m)
+                    crem = rem - m.bit_count()
                     if minimizer:
-                        keeps = search(child, False, need - 1, need) <= need - 1
+                        keeps = search(child, crem, False, need - 1, need) <= need - 1
                     else:
-                        keeps = search(child, True, need - 2, need - 1) >= need - 1
+                        keeps = search(child, crem, True, need - 2, need - 1) >= need - 1
                     if keeps:
                         trace.append(i)
-                        covered = child
+                        left &= ~m
+                        at, rem = child, crem
                         need -= 1
                         minimizer = not minimizer
                         break
@@ -486,8 +517,8 @@ def game_cover_value(masks, universe):
     return total, trace
 
 
-# The class search pays for its codes only on larger families.  Time per
-# game, covered-set search -> class search, on open neighbourhoods (Python
+# The class keys pay for their codes only on larger families.  Time per
+# game, covered-set keys -> class keys, on open neighbourhoods (Python
 # 3.11, 2 shared vCPUs; best of 3-5 runs; trees: mean of 10 random trees):
 #   order  path             cycle            random trees
 #   12     0.63 -> 0.70 ms  0.55 -> 0.48 ms  0.41 -> 0.82 ms
@@ -559,19 +590,19 @@ def _component_code(part, masks, labels):
     return min(tuple(s[i:i + n]) for s in (seq * 2, seq[::-1] * 2) for i in range(n))
 
 
-def _class_game(masks, universe):
-    """game_cover_value keyed by the classes of the residual components.  The
-    masks lie in the universe, cover it and form a pseudoforest family."""
-    widest = max(m.bit_count() for m in masks)
-    top = universe.bit_count() + 1
-    shift = top.bit_length()  # also a count's width in a key: 2**shift > top
-    low = (1 << shift) - 1
+def _class_keys(masks, universe, shift):
+    """The class keying of game_cover_value, for masks that lie in the
+    universe, cover it and form a pseudoforest family.  A key is the sum of
+    1 << shift * c over the classes c of the residual's components.  Returns
+    (the root's key, the move table, moves_of, play): the table holds for
+    each class, once moves_of(c) has filled it, the key change and the
+    element count of each of its distinct moves."""
     distinct = [m for m in dict.fromkeys(masks) if m]
     labels: dict[tuple, int] = {}
     codes: dict[tuple, int] = {}
     class_of: dict[int, int] = {}  # a component's element set -> its class
     reps: list[int] = []  # class -> the element set of its first component
-    moves: list = []  # class -> (key delta, elements covered) per move, once expanded
+    moves: list = []  # class -> (key delta, elements covered) per move, once filled
 
     def split(rest: int, edges: list[int]) -> dict[int, int]:
         """The components of the residual rest, of whose masks edges holds
@@ -600,99 +631,16 @@ def _class_game(masks, universe):
         moves[c] = list(found.items())
         return moves[c]
 
-    bounds_min: dict[int, int] = {}
-    bounds_max: dict[int, int] = {}
+    comps = {universe: split(universe, distinct)}  # residual -> its components
 
-    def search(at: int, rem: int, minimizer: bool, alpha: int, beta: int) -> int:
-        entry = (bounds_min if minimizer else bounds_max).get(at)
-        if entry is None:
-            lo, hi = -(-rem // widest), rem
-        else:
-            lo, hi = entry >> shift, entry & low
-        if lo == hi or lo >= beta:
-            return lo
-        if hi <= alpha:
-            return hi
-        a = alpha if alpha > lo else lo
-        return expand(at, rem, minimizer, a, beta if beta < hi else hi, lo, hi)
+    def play(at: int, left: int, m: int) -> int:
+        found = comps[left]
+        part = next(p for p in found if p & m)
+        pieces = split(part & ~m, distinct)
+        comps[left & ~m] = {p: c for p, c in found.items() if p != part} | pieces
+        return at - (1 << shift * found[part]) + key(pieces.values())
 
-    def expand(at: int, rem: int, minimizer: bool, a: int, b: int, lo: int, hi: int) -> int:
-        replies = bounds_max if minimizer else bounds_min
-        best = top if minimizer else 0
-        ca, cb = a - 1, b - 1
-        rest = at
-        while rest:
-            c = ((rest & -rest).bit_length() - 1) // shift
-            rest &= ~(low << shift * c)
-            for delta, gain in moves[c] or moves_of(c):
-                child = at + delta
-                crem = rem - gain
-                entry = replies.get(child)
-                if entry is None:
-                    clo, chi = -(-crem // widest), crem
-                else:
-                    clo, chi = entry >> shift, entry & low
-                if clo == chi or clo >= cb:
-                    r = 1 + clo
-                elif chi <= ca:
-                    r = 1 + chi
-                else:
-                    r = 1 + expand(child, crem, not minimizer, ca if ca > clo else clo,
-                                   cb if cb < chi else chi, clo, chi)
-                if minimizer:
-                    if r < best:
-                        best = r
-                        if r <= a:
-                            break
-                        if r <= cb:
-                            cb = r - 1
-                elif r > best:
-                    best = r
-                    if r >= b:
-                        break
-                    if r > ca + 1:
-                        ca = r - 1
-            else:
-                continue
-            break
-        (bounds_min if minimizer else bounds_max)[at] = (
-            (lo if best <= a else best) << shift | (hi if best >= b else best))
-        return best
-
-    try:
-        comps = split(universe, distinct)
-        at, rem = key(comps.values()), universe.bit_count()
-        total = search(at, rem, True, -1, top)
-        trace: list[int] = []
-        left = universe
-        minimizer = True
-        need = total
-        while left:
-            for i, m in enumerate(masks):
-                m &= left
-                if m:
-                    part = next(p for p in comps if p & m)
-                    pieces = split(part & ~m, distinct)
-                    child = at - (1 << shift * comps[part]) + key(pieces.values())
-                    crem = rem - m.bit_count()
-                    if minimizer:
-                        keeps = search(child, crem, False, need - 1, need) <= need - 1
-                    else:
-                        keeps = search(child, crem, True, need - 2, need - 1) >= need - 1
-                    if keeps:
-                        trace.append(i)
-                        left &= ~m
-                        del comps[part]
-                        comps.update(pieces)
-                        at, rem = child, crem
-                        need -= 1
-                        minimizer = not minimizer
-                        break
-            else:
-                raise InvariantViolation("principal line reconstruction failed")
-    finally:
-        search = expand = None  # expand refers to itself; free the tables now
-    return total, trace
+    return key(comps[universe].values()), moves, moves_of, play
 
 
 def min_cover(masks, universe):

@@ -74,7 +74,8 @@ def graph_from_graph6(text: str, line: int | None = None) -> Graph:
                 i = k - j * (j - 1) // 2
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    # pairs i < j < n give rows in range, loop-free and symmetric
+    return Graph._from_valid_rows(n, tuple(rows))
 
 
 # -- edge list ---------------------------------------------------------------

@@ -216,6 +216,16 @@ def test_generate_family_off_residue_is_empty(capsys):
     assert "no members" in err.lower() or "7" in err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_generate_family_off_residue_writes_what_the_source_spelling_writes(capsys, json_flag):
+    # both spellings write the same empty output, g6 or JSON; --n also says why
+    code, out, err = run(capsys, "generate", "familyT", "--n", "4", *json_flag)
+    assert err.startswith("no members of order 4: orders are 2 mod 3")
+    assert (code, out) == run(capsys, "generate", "familyT:4", *json_flag)[:2]
+    assert code == 0
+    assert (json.loads(out) == {"graphs": []}) if json_flag else out == ""
+
+
 def test_generate_connected_enumeration(capsys):
     code, out, _ = run(capsys, "generate", "connected:5")
     assert code == 0

@@ -1,4 +1,5 @@
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -191,6 +192,22 @@ def test_graph6_roundtrip(g):
 def test_graph6_roundtrip_long_form(g):
     # orders above 62 need the multi-byte size prefix
     assert graph_from_graph6(graph_to_graph6(g)).adj == g.adj
+
+
+def test_graph6_parse_equals_the_checked_graph():
+    # the parser builds its graph without Graph's checks; on random graphs of
+    # orders 1-70, in both header forms, it equals the graph built with them
+    rng = random.Random(2730)
+    for n in range(1, 71):
+        for p in (0.1, 0.5):
+            rows = [0] * n
+            for j in range(1, n):
+                for i in range(j):
+                    if rng.random() < p:
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+            want = Graph(n, tuple(rows))
+            assert graph_from_graph6(oracles.graph_to_graph6_bitwise(want)) == want, n
 
 
 @settings(max_examples=60, deadline=None)

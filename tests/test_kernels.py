@@ -2,9 +2,9 @@
 families that one part of the universe spans and on families that split
 into parts; the bounded longest-sequence search against the exact memo
 search it replaced; the largest minimal cover by parts against one search
-of the whole universe; the game's class search against the covered-set
-search and its component codes against brute-force isomorphism; and no
-table left behind in cyclic garbage."""
+of the whole universe; the game's class keys against the covered-set keys
+and its component codes against brute-force isomorphism; no table left
+behind in cyclic garbage; and a smoke run of the engine A/B script."""
 
 import gc
 import importlib
@@ -245,9 +245,18 @@ def random_pseudoforest_family(rng):
             return masks, universe
 
 
-def test_class_search_matches_unpruned_on_small_pseudoforests():
-    # the class search called below its gate: every tree and unicyclic graph
+def test_class_search_matches_unpruned_on_small_pseudoforests(monkeypatch):
+    # the class search forced below its gate: every tree and unicyclic graph
     # of order up to 8, and random families with duplicate masks
+    keyed = []
+    class_keys = engine._class_keys
+
+    def counted(*args):
+        keyed.append(1)
+        return class_keys(*args)
+
+    monkeypatch.setattr(engine, "_CLASS_GATE", 0)
+    monkeypatch.setattr(engine, "_class_keys", counted)
     compared = 0
     for n in range(2, 9):
         for g in corpus(n):
@@ -255,14 +264,15 @@ def test_class_search_matches_unpruned_on_small_pseudoforests():
                 masks, universe = g.open_masks(), g.full_mask
                 assert engine._pseudoforest(masks, universe)
                 want = oracles.game_cover_value_unpruned(masks, universe)
-                assert engine._class_game(masks, universe) == want, g
+                assert engine.game_cover_value(masks, universe) == want, g
                 compared += 1
     assert compared == (1 + 1 + 2 + 3 + 6 + 11 + 23) + (0 + 1 + 2 + 5 + 13 + 33 + 89)
     rng = random.Random(2711)
     for _ in range(300):
         masks, universe = random_pseudoforest_family(rng)
         want = oracles.game_cover_value_unpruned(masks, universe)
-        assert engine._class_game([m & universe for m in masks], universe) == want, masks
+        assert engine.game_cover_value(masks, universe) == want, masks
+    assert len(keyed) == compared + 300
 
 
 def test_class_search_matches_covered_search_on_large_sparse_graphs(monkeypatch):
@@ -326,10 +336,10 @@ def test_class_search_gate_refuses_a_part_with_two_cycles(monkeypatch):
     two = Graph.from_edges(22, list(path(11).edges()) + side)
     assert engine._pseudoforest(two.open_masks(), two.full_mask)
 
-    def refused(masks, universe):
+    def refused(masks, universe, shift):
         raise AssertionError("the class search took a family the gate refuses")
 
-    monkeypatch.setattr(engine, "_class_game", refused)
+    monkeypatch.setattr(engine, "_class_keys", refused)
     value, line = engine.game_cover_value(masks, (1 << 22) - 1)
     assert check_cover_sequence(masks, (1 << 22) - 1, line).complete and value == len(line)
     with pytest.raises(AssertionError, match="gate refuses"):
@@ -340,7 +350,7 @@ _C16 = cycle(16)
 _KERNEL_CALLS = {
     "max_cover_sequence": lambda: engine.max_cover_sequence(_C16.open_masks(), _C16.full_mask),
     "game_cover_value": lambda: engine.game_cover_value(_C16.open_masks(), _C16.full_mask),
-    # cycle:22 takes the class search, with its own codes and tables
+    # cycle:22 takes the class keys, with their codes and move table
     "game_cover_value_by_classes": lambda: engine.game_cover_value(
         cycle(22).open_masks(), cycle(22).full_mask),
     "sequence_of_length": lambda: engine.sequence_of_length(_C16.open_masks(), _C16.full_mask, [12]),
@@ -361,3 +371,36 @@ def test_kernel_leaves_no_cyclic_garbage(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_engine_ab_script_checks_outputs_and_times_both_engines(monkeypatch, capsys):
+    # the smallest use of scripts/bench_engine_ab.py: this tree's engine.py
+    # loaded again as the base runs one round of every case, and an engine
+    # whose output differs is refused before any timing
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    ab = importlib.import_module("bench_engine_ab")
+    base = ab.load_engine(Path(engine.__file__))
+    assert base is not engine and base.__name__ == "grundytd._engine_base"
+    assert ab.main([engine.__file__, "--rounds", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    cases = [f"{kernel} {name}" for kernel in ab.KERNELS for name, _ in ab.inputs()]
+    assert len(cases) == 18 and cases[-1] == "longest connected:2-7"
+    assert [line.split()[0] + " " + line.split()[1] for line in out[2:]] == cases
+
+    sets = [("p5", [path(5)]), ("c", [cycle(5), cycle(6)])]
+    times = ab.run(sets, [base, engine], 3)
+    assert list(times) == ["game p5", "game c", "longest p5", "longest c"]
+    assert all(len(secs) == 3 for sides in times.values() for secs in sides)
+    for case, b, c, ratio, (q1, q3), won in ab.summary(times):
+        assert b > 0 and c > 0 and q1 <= ratio <= q3 and 0 <= won <= 3
+
+    class Wrong:
+        max_cover_sequence = staticmethod(engine.max_cover_sequence)
+
+        @staticmethod
+        def game_cover_value(masks, universe):
+            value, line = engine.game_cover_value(masks, universe)
+            return value, line[::-1]
+
+    with pytest.raises(AssertionError, match="disagree on game p5"):
+        ab.run(sets, [base, Wrong], 1)
