@@ -15,6 +15,10 @@ Cases, each a kernel summed over a set of graphs:
     compute-sparse22 workload at seeds 0 and 1 (read from
     perfbench/workloads.py, as scripts/bench_invariants.py does);
   * the same over the 995 connected graphs of order 2-7;
+  * the same over four random unicyclic graphs of order 20 whose cycle is
+    odd, and over four random trees of order 20 (seed 5 for both): the
+    family of one part and the family of two parts on either side of the
+    game's rule for class keys;
   * max_cover_sequence on the open and the closed neighbourhoods of the
     same sets.
 
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import random
 import statistics
 import sys
 from pathlib import Path
@@ -40,6 +45,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1)
+SPARSE_SEED = 5
 KERNELS = {
     "game": lambda engine, g: engine.game_cover_value(g.open_masks(), g.full_mask),
     "longest": lambda engine, g: (
@@ -67,8 +73,8 @@ def inputs():
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import make_workload
 
-    from grundytd import Graph
-    from grundytd.smallgraphs import connected_graphs
+    from grundytd import Graph, bipartition
+    from grundytd.smallgraphs import connected_graphs, random_tree
 
     sets = [
         (f"{g.label}@{seed}", [Graph.from_edges(g.n, g.edges)])
@@ -76,6 +82,15 @@ def inputs():
         for g in make_workload("compute-sparse22", seed=seed).graphs
     ]
     sets.append(("connected:2-7", [g for n in range(2, 8) for g in connected_graphs(n)]))
+    rng = random.Random(SPARSE_SEED)
+    trees = [random_tree(20, rng) for _ in range(8)]
+    odd = []
+    for tree in trees[:4]:
+        # an edge inside one colour class closes an odd cycle
+        side = bipartition(tree)[0]
+        u, v = rng.sample(side, 2)
+        odd.append(Graph.from_edges(20, list(tree.edges()) + [(u, v)]))
+    sets += [("unicyclic-odd:20", odd), ("tree:20", trees[4:])]
     return sets
 
 

@@ -15,7 +15,9 @@ instance at a time.  connected:N, cubic:N and regular:N:K are exactly order
 N in generate, and every order up to N in sweep and the defaults.
 
 Exit codes: 0 pass, 1 violation found, 2 usage or input problem,
-3 capacity exceeded.  --cap raises the solver cap (24 by default), which
+3 capacity exceeded, 141 (128 + SIGPIPE) when the reader of standard
+output closed it early, e.g. `generate connected:8 | head -1`, with
+nothing on stderr.  --cap raises the solver cap (24 by default), which
 bounds the graph order, a hypergraph's ground size, and, for transversal
 sequences, its edge count.
 """
@@ -489,7 +491,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the rest of the buffer goes to the null device, not to a failing flush at exit
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -8,7 +8,7 @@ applied to a family of masks over a universe bitmask:
   * exact minimum cover            (total domination number, edge cover number)
   * maximum minimal cover          (upper total domination number)
   * two-player cover game value    (game total domination number)
-  * legal cover sequences of given lengths (interpolation witnesses)
+  * legal cover sequences of every length (interpolation; built, no search)
   * maximum strong / semistrong matching
 
 A "legal" sequence picks masks one at a time, each contributing at least one
@@ -32,12 +32,10 @@ next index thus gives the witness that a search of the whole universe would
 rebuild.  The largest minimal cover splits the same way (see
 max_minimal_cover).
 
-The fixed-length search serves every wanted length from one table keyed
-by (covered, r), where r counts the moves still to make.  An entry is the
-smallest index of a legal move after which r - 1 more moves complete the
-cover, or -1 if none does, so each witness is read back from the table
-without a second search and is the smallest-index witness.  A state is cut
-once r exceeds its uncovered elements, since every move covers one.
+The interpolation witnesses are built, not searched: S's first i entries,
+then the masks of a minimal cover C that still cover a new element.  As i
+runs from 0 to |S| the length goes from |C| to |S| and never climbs by
+more than one, so every length between is realized (sequence_of_length).
 
 Each part's longest sequence is found by a fail-soft bounded test in the
 manner of alpha-beta (Knuth and Moore, "An analysis of alpha-beta pruning",
@@ -121,7 +119,10 @@ its distinct moves, so the move loop walks the classes present in a key and
 a child's key is one addition.  Playing a mask on the line replaces the
 class of the component it hits by the classes of its pieces.  The codes
 cost more than they save on small inputs, so only families of at least
-_CLASS_GATE elements are keyed this way.
+_CLASS_GATE elements are keyed this way.  Nor is a family of one part
+unless every mask holds two elements, as an odd cycle's do: a ring with
+trees hanging from it stays one component until a move hits the ring, so
+nearly every position has a class of its own.
 
 The matching search adds edges in a fixed order and carries a mask of
 blocked vertices that no valid extension can use.  After an edge uv, a
@@ -289,52 +290,32 @@ def max_cover_sequence(masks, universe):
     return total, list(merge(*walks))
 
 
-def sequence_of_length(masks, universe, lengths):
-    """A legal complete cover sequence of each wanted length that has one.
+def sequence_of_length(masks, universe, cover, longest):
+    """Legal complete cover sequences of every length from |cover| to
+    |longest|, from a minimal cover and a complete legal sequence, both of
+    mask indices: {length: sequence}, in increasing length.
 
-    Returns {length: sequence of mask indices} in the order of lengths,
-    leaving out each length that no complete legal sequence has.  All the
-    lengths share one table, and each witness is read back from it.
+    W_i is longest's first i entries followed by cover's masks in order,
+    each kept only if it covers a new element; each length takes its first
+    W_i.  Every W_i is legal and complete.  A cover mask is kept iff it is
+    not inside the union of the prefix and the cover masks before it, a
+    union that only grows with i, so the count kept never increases and
+    |W_{i+1}| <= |W_i| + 1.  Each mask of a minimal cover has a private
+    element, so |W_0| = |cover|, and |W_|longest|| = |longest| as longest
+    is complete.  So every length between them is some |W_i|.
     """
     masks = [m & universe for m in masks]
-    _check_coverable(masks, universe)
-    memo: dict[tuple[int, int], int] = {}
-
-    def first(covered: int, r: int) -> int:
-        """The table entry for (covered, r), where r >= 1."""
-        uncovered = universe & ~covered
-        if r > uncovered.bit_count():
-            return -1  # each move covers at least one new element
-        key = (covered, r)
-        found = memo.get(key)
-        if found is None:
-            found = -1
-            for i, m in enumerate(masks):
-                if m & uncovered:
-                    child = covered | m
-                    if (child == universe) if r == 1 else first(child, r - 1) >= 0:
-                        found = i
-                        break
-            memo[key] = found
-        return found
-
-    witnesses: dict[int, list[int]] = {}
-    try:
-        for length in lengths:
-            # a walk that takes its first step always completes the cover
-            seq: list[int] = []
-            covered = 0
-            for r in range(length, 0, -1):
-                i = first(covered, r)
-                if i < 0:
-                    break
-                seq.append(i)
-                covered |= masks[i]
-            if covered == universe and len(seq) == length:
-                witnesses[length] = seq
-    finally:
-        first = None  # the closure refers to itself; free the table now
-    return witnesses
+    built: dict[int, list[int]] = {}
+    prefix = 0  # what longest's first i entries cover
+    for i, m in enumerate([0] + [masks[j] for j in longest]):
+        prefix |= m
+        seq, covered = list(longest[:i]), prefix
+        for j in cover:
+            if masks[j] & ~covered:
+                seq.append(j)
+                covered |= masks[j]
+        built.setdefault(len(seq), seq)
+    return {k: built[k] for k in range(len(cover), len(longest) + 1) if k in built}
 
 
 def game_cover_value(masks, universe):
@@ -348,11 +329,9 @@ def game_cover_value(masks, universe):
     keyings of a position (see the module docstring).  A keying supplies its
     move loop, expand, and the key after m & left is played from the
     position at with uncovered set left: at | m for a covered set,
-    play(at, left, m) for a class key.  A pseudoforest family of at least
-    _CLASS_GATE elements is keyed by the classes of its residual components,
-    every other family by its covered set; both give the same value and
-    line.  Below the gate the component codes cost more than the states
-    they save; the table at _CLASS_GATE gives the crossover.
+    play(at, left, m) for a class key.  The module docstring and the table at
+    _CLASS_GATE say which families take class keys; both keyings give the
+    same value and line.
     """
     masks = [m & universe for m in masks]
     _check_coverable(masks, universe)
@@ -369,7 +348,8 @@ def game_cover_value(masks, universe):
     bounds_min: dict[int, int] = {}
     bounds_max: dict[int, int] = {}
     at, moves, play = 0, None, None  # covered sets: the key after m is at | m
-    if rem >= _CLASS_GATE and _pseudoforest(masks, universe):
+    parts = _pseudoforest(masks, universe) if rem >= _CLASS_GATE else 0
+    if parts > 1 or (parts == 1 and set(map(int.bit_count, masks)) == {2}):
         at, moves, moves_of, play = _class_keys(masks, universe, shift)
 
     def search(at: int, rem: int, minimizer: bool, alpha: int, beta: int) -> int:
@@ -525,18 +505,22 @@ def game_cover_value(masks, universe):
 #   16     5.74 -> 2.04 ms  3.78 -> 1.04 ms  1.43 -> 2.00 ms
 #   18     14.7 -> 3.03 ms  17.5 -> 1.48 ms  6.68 -> 5.61 ms
 #   20     78.7 -> 6.60 ms  38.5 -> 2.09 ms  11.0 -> 8.80 ms
+# One part loses unless it is a ring alone: the odd cycle 21 223 -> 14 ms,
+# 16 random odd-cycle unicyclic graphs of order 20-22 7.0-61.3 -> 33.7-107.2 ms.
 _CLASS_GATE = 20
 
 
 def _pseudoforest(masks, universe):
-    """Whether in every part the incidence graph of the elements and the
-    distinct nonempty masks has at most one cycle: no more links than nodes."""
+    """The number of parts if in every part the incidence graph of the
+    elements and the distinct nonempty masks has at most one cycle (no more
+    links than nodes), else 0."""
     distinct = list(set(masks) - {0})
-    for part in _parts(distinct, universe):
+    parts = _parts(distinct, universe)
+    for part in parts:
         inside = [m for m in distinct if m & part]
         if sum(m.bit_count() for m in inside) > part.bit_count() + len(inside):
-            return False
-    return True
+            return 0
+    return len(parts)
 
 
 def _component_code(part, masks, labels):

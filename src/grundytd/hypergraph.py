@@ -24,11 +24,13 @@ witness of one kind into a witness of the other of the same length.
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import engine
 from .errors import InvariantViolation, ParameterError, PreconditionError
 from .graph import Graph, _immutable, bits
 from .sequences import certify, check_cover_sequence, is_cover
-from .solver import ensure_capacity
+from .solver import built_sequences, ensure_capacity
 
 
 class Hypergraph:
@@ -158,16 +160,19 @@ def grundy_transversal_number(h: Hypergraph, cap: int | None = None):
     return value, tuple(seq)
 
 
+def covering_sequences(h: Hypergraph, cover, longest):
+    """A certified covering sequence of every length from a minimum edge
+    cover's to a longest covering sequence's, built from the two (Thm 8.1)."""
+    certificate = partial(is_complete_covering_sequence, h)
+    return built_sequences(list(h.edges), h.full_mask, cover, longest, certificate, "covering")
+
+
 def covering_sequence_of_length(h: Hypergraph, length: int, cap: int | None = None):
-    """A complete covering sequence of exactly the given length, or None."""
-    ensure_capacity(h.n_vertices, cap, "ground size")
-    seq = engine.sequence_of_length(list(h.edges), h.full_mask, (length,)).get(length)
-    if seq is None:
-        return None
-    certify(
-        _covering(h, seq).complete and len(seq) == length, "fixed-length covering"
-    )
-    return tuple(seq)
+    """A complete covering sequence of exactly the given length, or None
+    outside [rho, rho_gr]; built from both witnesses."""
+    _, cover = edge_cover_number(h, cap)
+    _, longest = grundy_covering_number(h, cap)
+    return covering_sequences(h, cover, longest).get(length)
 
 
 # -- reversal constructions ------------------------------------------------------

@@ -172,45 +172,43 @@ def semistrong_matching_number(g: Graph, cap: int | None = None):
     return _solve("nu_ss", g, cap)
 
 
-def _sequences_of_lengths(g: Graph, lengths, cap: int | None):
-    """Total dominating sequences of the wanted lengths, checked as gamma_grt's."""
-    _, undefined, _, certificate = _INVARIANTS["gamma_grt"]
-    _admit(g, undefined, cap)
-    found = engine.sequence_of_length(g.open_masks(), g.full_mask, lengths)
+def built_sequences(masks, universe, cover, longest, certificate, kind: str):
+    """engine.sequence_of_length's sequence of every length from |cover| to
+    |longest|, for a minimum cover and a longest sequence: {length: tuple}.
+    Each is certified by certificate(sequence); a missing length contradicts
+    the interpolation theorem and raises InvariantViolation."""
+    found = engine.sequence_of_length(masks, universe, cover, longest)
     for length, seq in found.items():
-        certify(certificate(g, seq) and len(seq) == length, "fixed-length sequence")
+        certify(certificate(seq) and len(seq) == length, f"fixed-length {kind}")
+    lo, hi = len(cover), len(longest)
+    for length in range(lo, hi + 1):
+        if length not in found:
+            why = f"{lo} and {hi} are both achievable"
+            raise InvariantViolation(f"no {kind} sequence of length {length} although {why}")
     return {length: tuple(seq) for length, seq in found.items()}
 
 
+def _interpolation(g: Graph, cover, longest):
+    certificate = partial(is_total_dominating_sequence, g)
+    return built_sequences(g.open_masks(), g.full_mask, cover, longest, certificate,
+                           "total dominating")
+
+
 def total_dominating_sequence_of_length(g: Graph, length: int, cap: int | None = None):
-    """A total dominating sequence of exactly the given length, or None."""
-    return _sequences_of_lengths(g, (length,), cap).get(length)
+    """A total dominating sequence of exactly the given length, or None;
+    built, as interpolation_witnesses does, from solved gamma_t and gamma_grt."""
+    _, cover = _solve("gamma_t", g, cap)
+    _, longest = _solve("gamma_grt", g, cap)
+    return _interpolation(g, cover, longest).get(length)
 
 
-def interpolation_witnesses(g: Graph, rep: InvariantReport, cap: int | None = None):
-    """One total dominating sequence for every achievable length.
-
-    rep is a report on g holding gamma_t and gamma_grt.  The report's
-    gamma_grt witness serves the top length: along a longest sequence, with
-    r moves still to make, a move after which exactly r - 1 more complete
-    the cover is one whose child has longest r - 1, so the fixed-length
-    search would take the same smallest indices.  It is certified again
-    here.  One search finds a witness for every shorter length down to
-    gamma_t, and each is certified.  A gap would contradict a proven
-    interpolation property, so a missing length raises InvariantViolation.
-    """
-    lo, hi = rep.value("gamma_t"), rep.value("gamma_grt")
-    out = _sequences_of_lengths(g, range(lo, hi), cap)
-    top = rep.witness("gamma_grt")
-    certify(is_total_dominating_sequence(g, top) and len(top) == hi, "gamma_grt")
-    out[hi] = top
-    for length in range(lo, hi + 1):
-        if length not in out:
-            raise InvariantViolation(
-                f"no total dominating sequence of length {length} although "
-                f"{lo} and {hi} are both achievable"
-            )
-    return out
+def interpolation_witnesses(g: Graph, rep: InvariantReport):
+    """One total dominating sequence for every length from gamma_t to
+    gamma_grt, built from the two witnesses of rep, a report on g, by
+    engine.sequence_of_length, whose docstring proves that no length is
+    missing (Cor 8.1).  Each is certified; a missing one raises
+    InvariantViolation."""
+    return _interpolation(g, rep.witness("gamma_t"), rep.witness("gamma_grt"))
 
 
 # -- aggregated report ---------------------------------------------------------

@@ -897,6 +897,57 @@ def max_cover_sequence_memo(masks, universe):
     return total, seq
 
 
+# The fixed-length search that engine.sequence_of_length's construction
+# replaced: one table keyed by (covered, r), where r counts the moves still
+# to make, serves every wanted length.  An entry is the smallest index of a
+# legal move after which r - 1 more moves complete the cover, or -1 if none
+# does, so each witness is read back from the table and is the
+# smallest-index witness of its length.
+
+def sequences_of_lengths(masks, universe, lengths):
+    """A legal complete cover sequence of each wanted length that has one.
+
+    Returns {length: sequence of mask indices} in the order of lengths,
+    leaving out each length that no complete legal sequence has.
+    """
+    masks = [m & universe for m in masks]
+    _check_coverable(masks, universe)
+    memo: dict[tuple[int, int], int] = {}
+
+    def first(covered: int, r: int) -> int:
+        """The table entry for (covered, r), where r >= 1."""
+        uncovered = universe & ~covered
+        if r > uncovered.bit_count():
+            return -1  # each move covers at least one new element
+        key = (covered, r)
+        found = memo.get(key)
+        if found is None:
+            found = -1
+            for i, m in enumerate(masks):
+                if m & uncovered:
+                    child = covered | m
+                    if (child == universe) if r == 1 else first(child, r - 1) >= 0:
+                        found = i
+                        break
+            memo[key] = found
+        return found
+
+    witnesses: dict[int, list[int]] = {}
+    for length in lengths:
+        # a walk that takes its first step always completes the cover
+        seq: list[int] = []
+        covered = 0
+        for r in range(length, 0, -1):
+            i = first(covered, r)
+            if i < 0:
+                break
+            seq.append(i)
+            covered |= masks[i]
+        if covered == universe and len(seq) == length:
+            witnesses[length] = seq
+    return witnesses
+
+
 def graph_to_graph6_bitwise(g):
     """The graph6 encoder before it set only the edges' bits: every pair of
     the upper triangle in column order, one bit at a time."""

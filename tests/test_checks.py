@@ -80,6 +80,32 @@ def test_counterexamples_reference_inputs():
     assert result.passed and result.counterexamples == ()
 
 
+@pytest.mark.parametrize(
+    "name, kind, sequence",
+    [("graph-interpolation", "graphs", "total dominating sequence"),
+     ("covering-interpolation", "hypergraphs", "covering sequence")],
+)
+def test_a_construction_that_drops_a_length_is_a_counterexample(monkeypatch, name, kind, sequence):
+    # the interpolation checkers test engine.sequence_of_length's construction:
+    # one that loses the length above the minimum is reported on every
+    # instance whose range holds it, and on no other
+    build = engine.sequence_of_length
+    dropped = []
+
+    def drop_one(masks, universe, cover, longest):
+        found = build(masks, universe, cover, longest)
+        if len(found) > 1:
+            del found[len(cover) + 1]
+            dropped.append(len(cover) + 1)
+        return found
+
+    monkeypatch.setattr(engine, "sequence_of_length", drop_one)
+    [result] = run_checks([name], ITEMS[kind](), kind)
+    assert not result.passed and len(result.counterexamples) == len(dropped) > 0
+    for bad, length in zip(result.counterexamples, dropped):
+        assert f" :: no {sequence} of length {length} although" in bad
+
+
 def test_isolated_vertex_graphs_are_skipped():
     from grundytd import Graph
 

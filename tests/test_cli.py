@@ -392,6 +392,28 @@ def test_large_sparse_family_fails_before_allocating(command):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("buffered", [False, True])
+def test_closed_stdout_pipe_exits_quietly(buffered):
+    # 8,000 trees of order 12 are 104,000 bytes of graph6, more than a pipe
+    # buffer holds: the reader takes one line and closes the pipe.  Block
+    # buffering leaves the last chunk to the final flush.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grundytd.cli", "generate", "trees:12:8000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"K")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_sweep_kind_mismatch_usage_error(capsys):
     code, _, err = run(capsys, "sweep", "hyper:10", "--checks", "thm4.2")
     assert code == 2

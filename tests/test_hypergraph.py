@@ -243,7 +243,9 @@ def test_invalid_edge_cover_witness_raises_invariant_violation(monkeypatch):
 
 def test_invalid_fixed_length_witness_raises_invariant_violation(monkeypatch):
     # edge 2 covers both vertices, so edge 0 after it covers nothing new
-    monkeypatch.setattr(engine, "sequence_of_length", lambda masks, universe, lengths: {2: [2, 0]})
+    monkeypatch.setattr(
+        engine, "sequence_of_length", lambda masks, universe, cover, longest: {2: [2, 0]}
+    )
     with pytest.raises(InvariantViolation, match="fixed-length covering certificate"):
         covering_sequence_of_length(three_edge_h(), 2)
 

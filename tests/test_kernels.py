@@ -1,10 +1,12 @@
 """Kernels: the pruned searches against their unpruned originals, on
 families that one part of the universe spans and on families that split
 into parts; the bounded longest-sequence search against the exact memo
-search it replaced; the largest minimal cover by parts against one search
-of the whole universe; the game's class keys against the covered-set keys
-and its component codes against brute-force isomorphism; no table left
-behind in cyclic garbage; and a smoke run of the engine A/B script."""
+search it replaced; the interpolation construction against the
+fixed-length search it replaced; the largest minimal cover by parts against
+one search of the whole universe; the game's class keys against the
+covered-set keys, its component codes against brute-force isomorphism and
+the families its gate keys by classes; no table left behind in cyclic
+garbage; and a smoke run of the engine A/B script."""
 
 import gc
 import importlib
@@ -200,26 +202,66 @@ def test_minimal_cover_by_parts_matches_the_single_search():
 )
 def test_longest_witness_is_the_fixed_length_witness_at_the_top(orders):
     # at the longest length L, a move after which exactly L - 1 more moves
-    # complete the cover is one whose child has longest L - 1, so both
-    # searches take the same smallest indices; interpolation relies on it
+    # complete the cover is one whose child has longest L - 1, so the
+    # fixed-length search of the oracles takes the same smallest indices
     for n in orders:
         for g in corpus(n):
             for masks in (g.open_masks(), g.closed_masks()):
                 length, seq = engine.max_cover_sequence(masks, g.full_mask)
-                assert engine.sequence_of_length(masks, g.full_mask, [length]) == {length: seq}, g
+                found = oracles.sequences_of_lengths(masks, g.full_mask, [length])
+                assert found == {length: seq}, g
 
 
 def test_sequence_of_length_finds_exactly_the_lengths_of_all_sequences():
-    # the oracle walks every legal sequence; the wanted lengths run one past
-    # each end, and one table serves them all
+    # the fixed-length search of the oracles against the walk over every
+    # legal sequence; the wanted lengths run one past each end, and one table
+    # serves them all
     for n in range(2, 7):
         for g in corpus(n):
             for mode, masks in (("open", g.open_masks()), ("closed", g.closed_masks())):
-                found = engine.sequence_of_length(masks, g.full_mask, range(-1, n + 2))
+                found = oracles.sequences_of_lengths(masks, g.full_mask, range(-1, n + 2))
                 assert list(found) == sorted(oracles.sequence_lengths(g, mode)), g
                 for length, seq in found.items():
                     assert len(seq) == length
                     assert check_cover_sequence(masks, g.full_mask, seq).complete
+
+
+def built_lengths(masks, universe):
+    """engine.sequence_of_length from a minimum cover and a longest sequence,
+    each built sequence checked complete and legal, and the fixed-length
+    search's lengths: (built, the search's lengths)."""
+    _, cover = engine.min_cover(masks, universe)
+    _, longest = engine.max_cover_sequence(masks, universe)
+    built = engine.sequence_of_length(masks, universe, cover, longest)
+    for length, seq in built.items():
+        assert len(seq) == length
+        assert check_cover_sequence(masks, universe, seq).complete, masks
+    searched = oracles.sequences_of_lengths(masks, universe, range(len(masks) + 1))
+    return built, list(searched)
+
+
+def test_construction_builds_every_length_on_small_graphs():
+    # every length that some complete legal sequence has, and no other, on
+    # the open and the closed neighbourhoods of every connected graph of
+    # order 2-7; the full walk over legal sequences runs to order 6
+    for n in range(2, 8):
+        for g in corpus(n):
+            for mode, masks in (("open", g.open_masks()), ("closed", g.closed_masks())):
+                built, searched = built_lengths(masks, g.full_mask)
+                assert list(built) == searched, g
+                if n < 7:
+                    assert set(built) == oracles.sequence_lengths(g, mode), g
+
+
+def test_construction_builds_every_length_on_random_hypergraphs():
+    # covering sequences of 2,000 random hypergraphs, every other one with a
+    # duplicate of one of its edges
+    rng = random.Random(3101)
+    for k in range(2000):
+        h = random_hypergraph(rng)
+        edges = list(h.edges) + ([rng.choice(h.edges)] if k % 2 else [])
+        built, searched = built_lengths(edges, h.full_mask)
+        assert list(built) == searched, edges
 
 
 def random_unicyclic(n, rng):
@@ -245,9 +287,19 @@ def random_pseudoforest_family(rng):
             return masks, universe
 
 
+def every_pseudoforest_by_classes(monkeypatch):
+    """Lift the gate's rule against one part: every pseudoforest family of
+    at least _CLASS_GATE elements takes the class keys."""
+    pseudoforest = engine._pseudoforest
+    monkeypatch.setattr(
+        engine, "_pseudoforest", lambda masks, universe: 2 * pseudoforest(masks, universe)
+    )
+
+
 def test_class_search_matches_unpruned_on_small_pseudoforests(monkeypatch):
-    # the class search forced below its gate: every tree and unicyclic graph
-    # of order up to 8, and random families with duplicate masks
+    # the class search forced below its gate and onto families of one part:
+    # every tree and unicyclic graph of order up to 8, and random families
+    # with duplicate masks
     keyed = []
     class_keys = engine._class_keys
 
@@ -256,6 +308,7 @@ def test_class_search_matches_unpruned_on_small_pseudoforests(monkeypatch):
         return class_keys(*args)
 
     monkeypatch.setattr(engine, "_CLASS_GATE", 0)
+    every_pseudoforest_by_classes(monkeypatch)
     monkeypatch.setattr(engine, "_class_keys", counted)
     compared = 0
     for n in range(2, 9):
@@ -276,14 +329,15 @@ def test_class_search_matches_unpruned_on_small_pseudoforests(monkeypatch):
 
 
 def test_class_search_matches_covered_search_on_large_sparse_graphs(monkeypatch):
-    # orders 20-24 take the class search; with the gate raised, the same
-    # families take the covered-set search
+    # orders 20-24 take the class search, one part included; with the gate
+    # raised, the same families take the covered-set search
     rng = random.Random(2712)
     graphs = [
         relabeled(g, rng)
         for n in range(20, 25)
         for g in (path(n), cycle(n), random_tree(n, rng), random_unicyclic(n, rng))
     ]
+    every_pseudoforest_by_classes(monkeypatch)
     by_classes = []
     for g in graphs:
         assert engine._pseudoforest(g.open_masks(), g.full_mask)
@@ -346,6 +400,29 @@ def test_class_search_gate_refuses_a_part_with_two_cycles(monkeypatch):
         engine.game_cover_value(two.open_masks(), two.full_mask)
 
 
+def test_class_keys_refuse_one_part_unless_every_mask_holds_two(monkeypatch):
+    # an odd-cycle unicyclic graph with trees on its ring has one part and
+    # takes covered-set keys; paths, even cycles and trees have two parts, and
+    # an odd cycle's masks hold two elements each, so they take class keys
+    rng = random.Random(5)
+    one_part = []
+    while len(one_part) < 2:
+        g = random_unicyclic(20 + len(one_part), rng)
+        if bipartition(g) is None and max(map(g.degree, range(g.n))) > 2:
+            assert len(engine._parts(g.open_masks(), g.full_mask)) == 1
+            one_part.append(g)
+
+    def refused(masks, universe, shift):
+        raise AssertionError("the class keys were taken")
+
+    monkeypatch.setattr(engine, "_class_keys", refused)
+    for g in one_part:
+        assert engine.game_cover_value(g.open_masks(), g.full_mask)[0] > 0
+    for g in (cycle(22), path(22), random_tree(22, random.Random(0)), cycle(21)):
+        with pytest.raises(AssertionError, match="class keys were taken"):
+            engine.game_cover_value(g.open_masks(), g.full_mask)
+
+
 _C16 = cycle(16)
 _KERNEL_CALLS = {
     "max_cover_sequence": lambda: engine.max_cover_sequence(_C16.open_masks(), _C16.full_mask),
@@ -353,7 +430,10 @@ _KERNEL_CALLS = {
     # cycle:22 takes the class keys, with their codes and move table
     "game_cover_value_by_classes": lambda: engine.game_cover_value(
         cycle(22).open_masks(), cycle(22).full_mask),
-    "sequence_of_length": lambda: engine.sequence_of_length(_C16.open_masks(), _C16.full_mask, [12]),
+    "sequence_of_length": lambda: engine.sequence_of_length(
+        _C16.open_masks(), _C16.full_mask,
+        engine.min_cover(_C16.open_masks(), _C16.full_mask)[1],
+        engine.max_cover_sequence(_C16.open_masks(), _C16.full_mask)[1]),
     "min_cover": lambda: engine.min_cover(_C16.open_masks(), _C16.full_mask),
     "max_minimal_cover": lambda: engine.max_minimal_cover(_C16.open_masks(), _C16.full_mask),
     "max_matching": lambda: engine.max_matching(_C16.open_masks(), 16, True),
@@ -375,17 +455,24 @@ def test_kernel_leaves_no_cyclic_garbage(name):
 
 def test_engine_ab_script_checks_outputs_and_times_both_engines(monkeypatch, capsys):
     # the smallest use of scripts/bench_engine_ab.py: this tree's engine.py
-    # loaded again as the base runs one round of every case, and an engine
-    # whose output differs is refused before any timing
+    # loaded again as the base runs one round of every case but those of the
+    # two order-20 sets, which would double the time, and an engine whose
+    # output differs is refused before any timing
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
     ab = importlib.import_module("bench_engine_ab")
     base = ab.load_engine(Path(engine.__file__))
     assert base is not engine and base.__name__ == "grundytd._engine_base"
+    inputs = ab.inputs()
+    cases = [f"{kernel} {name}" for kernel in ab.KERNELS for name, _ in inputs]
+    assert len(cases) == 22 and cases[-1] == "longest tree:20"
+    unicyclic, trees = (graphs for name, graphs in inputs[-2:])
+    assert all(bipartition(g) is None and g.edge_count() == 20 for g in unicyclic)
+    assert all(bipartition(g) is not None and g.edge_count() == 19 for g in trees)
+    monkeypatch.setattr(ab, "inputs", lambda: inputs[:-2])
     assert ab.main([engine.__file__, "--rounds", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
-    cases = [f"{kernel} {name}" for kernel in ab.KERNELS for name, _ in ab.inputs()]
-    assert len(cases) == 18 and cases[-1] == "longest connected:2-7"
-    assert [line.split()[0] + " " + line.split()[1] for line in out[2:]] == cases
+    ran = [case for case in cases if not case.endswith(":20")]
+    assert [line.split()[0] + " " + line.split()[1] for line in out[2:]] == ran
 
     sets = [("p5", [path(5)]), ("c", [cycle(5), cycle(6)])]
     times = ab.run(sets, [base, engine], 3)

@@ -36,7 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
         (
             ["sweep", "hyper:5", "--json"],
             {"hypergraph.edge_cover_number", "hypergraph.grundy_transversal_number",
-             "hypergraph.covering_sequence_of_length", "solver.grundy_total_domination_number"},
+             "solver.grundy_total_domination_number"},
         ),
         (
             ["compute", "--family", "path:6", "--all", "--json"],
